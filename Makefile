@@ -145,10 +145,22 @@ fuzz-soak:
 	dune exec bin/flbench.exe -- fuzz --seed $(FUZZ_SEED) --iters 400 \
 		--budget $(FUZZ_BUDGET) --out results/fuzz
 
+# Repository benchmark smoke: both workloads, untraced and traced, two
+# seconds each. Only the exit status is gated: it covers the benchmark's
+# own checks (list order, sizes, the service books, the metric set
+# against BENCHMARK.json). No number is gated.
+perfbench-smoke:
+	for w in slack1-steady slack100-overload; do \
+	  for t in 0 1; do \
+	    python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 \
+	      --trace $$t || exit 1; \
+	  done; \
+	done
+
 doc:
 	dune build @doc
 
 clean:
 	dune clean
 
-.PHONY: all test test-force bench-quick bench-full bench-json bench-adapt-json bench-trace chaos bench-chaos-json bench-shard-json bench-service-json conformance-smoke fuzz-mega fuzz-smoke fuzz-soak doc clean
+.PHONY: all test test-force bench-quick bench-full bench-json bench-adapt-json bench-trace chaos bench-chaos-json bench-shard-json bench-service-json conformance-smoke fuzz-mega fuzz-smoke fuzz-soak perfbench-smoke doc clean

@@ -1,12 +1,13 @@
 (** Harris's lock-free sorted linked list implementing a set
     (Harris, DISC 2001), with a position-resume extension.
 
-    Deletion is two-phase: a node is first logically deleted by {e marking}
-    its outgoing link, then physically unlinked by any traversal that
-    encounters it. OCaml cannot tag pointer bits, so a link is a boxed
-    variant ([Live]/[Dead]) compared by physical equality in CAS — the
-    standard encoding under a GC, which also provides safe memory
-    reclamation (no ABA).
+    This is the unit-valued instance of the one Harris core, which
+    {!Harris_kv} owns: deletion is two-phase (a node is first logically
+    deleted by {e marking} its outgoing link, then physically unlinked by
+    any traversal that encounters it), links are a flat variant whose
+    end links are compared by value and node links by identity, and
+    traversals allocate nothing per node. See {!Harris_kv} for the
+    encoding.
 
     The {e position} API supports the paper's medium- and weak-FL list
     optimization (§4.3): when successive operations use non-decreasing
@@ -16,11 +17,7 @@
     (its node was deleted) still leads forward into the live list, and the
     operations re-validate with CAS as usual. *)
 
-module type KEY = sig
-  type t
-
-  val compare : t -> t -> int
-end
+module type KEY = Harris_kv.KEY
 
 module Make (K : KEY) : sig
   type t

@@ -25,24 +25,37 @@ let test_solo_timeout () =
   Alcotest.(check (option int)) "take times out" None (E.take ~patience:2 x);
   Alcotest.(check int) "still no exchanges" 0 (E.exchanged x)
 
+(* A live giver/taker pair on [x]: a spawned domain gives [v] while this
+   one takes. Both sides retry until they pair or a wall-clock deadline
+   passes, since spin-count patience budgets need not overlap when the
+   host deschedules one side. The giver is always joined, so a failed
+   pairing never leaves a parked offer behind for a later test. Returns
+   (what the taker got, whether the giver handed off). *)
+let live_pair x v =
+  let deadline = Sync.Mono.now () +. 30.0 in
+  let in_time () = Sync.Mono.now () < deadline in
+  let giver =
+    Domain.spawn (fun () ->
+        let rec give () =
+          E.give ~patience:10_000 x v || (in_time () && give ())
+        in
+        give ())
+  in
+  let rec take () =
+    match E.take ~patience:10 x with
+    | Some _ as r -> r
+    | None -> if in_time () then take () else None
+  in
+  let given = ref false in
+  let got = Fun.protect take ~finally:(fun () -> given := Domain.join giver) in
+  (got, !given)
+
 (* Width one keeps give and take on the same slot, so a parked offer is
    always found by the opposite operation. *)
 let test_parked_give_fed_by_take () =
   let x : int E.t = E.create ~capacity:1 () in
-  let d =
-    Domain.spawn (fun () ->
-        (* Generous patience: the other domain will arrive. *)
-        E.give ~patience:1_000_000 x 42)
-  in
-  let rec take_until n =
-    if n = 0 then None
-    else
-      match E.take ~patience:10 x with
-      | Some _ as r -> r
-      | None -> take_until (n - 1)
-  in
-  let got = take_until 1_000_000 in
-  Alcotest.(check bool) "give handed off" true (Domain.join d);
+  let got, given = live_pair x 42 in
+  Alcotest.(check bool) "give handed off" true given;
   Alcotest.(check (option int)) "take fed" (Some 42) got;
   Alcotest.(check int) "one exchange" 1 (E.exchanged x);
   Alcotest.(check bool) "no takers left" false (E.takers_waiting x)
@@ -174,17 +187,9 @@ let test_timeout_counts_as_cancel () =
   Alcotest.(check (option int)) "take times out" None (E.take ~patience:2 x);
   Alcotest.(check int) "take withdrawal counted" 2 (E.cancelled x);
   (* Withdrawn cleanly: the slot is free for a live pair. *)
-  let d = Domain.spawn (fun () -> E.give ~patience:1_000_000 x 9) in
-  let rec take_until n =
-    if n = 0 then None
-    else
-      match E.take ~patience:10 x with
-      | Some _ as r -> r
-      | None -> take_until (n - 1)
-  in
-  Alcotest.(check (option int)) "slot still pairs" (Some 9)
-    (take_until 1_000_000);
-  Alcotest.(check bool) "give handed off" true (Domain.join d)
+  let got, given = live_pair x 9 in
+  Alcotest.(check (option int)) "slot still pairs" (Some 9) got;
+  Alcotest.(check bool) "give handed off" true given
 
 (* A giver killed while parked (injected [Faults.Killed] in the park
    loop) withdraws its offer on the way out: the value is never captured
@@ -209,17 +214,9 @@ let test_kill_while_parked_withdraws () =
     (E.try_take x = None);
   Alcotest.(check int) "nothing exchanged" 0 (E.exchanged x);
   (* The dead partner left no residue: a live pair still meets. *)
-  let d = Domain.spawn (fun () -> E.give ~patience:1_000_000 x 21) in
-  let rec take_until n =
-    if n = 0 then None
-    else
-      match E.take ~patience:10 x with
-      | Some _ as r -> r
-      | None -> take_until (n - 1)
-  in
-  Alcotest.(check (option int)) "live pair unaffected" (Some 21)
-    (take_until 1_000_000);
-  Alcotest.(check bool) "live give handed off" true (Domain.join d)
+  let got, given = live_pair x 21 in
+  Alcotest.(check (option int)) "live pair unaffected" (Some 21) got;
+  Alcotest.(check bool) "live give handed off" true given
 
 (* Storm of impatient offers: cancellation and reclamation race claims
    constantly, yet values are conserved and every cancelled offer is

@@ -263,6 +263,193 @@ let test_parallel_snapshot_sorted () =
   Domain.join writer;
   Alcotest.(check int) "snapshots always sorted" 0 !sorted_violations
 
+(* ------------------- shared core: set and map views ------------------- *)
+
+(* Both instances of the one Harris core, seen as an int set, so each
+   check below runs on the set and on the map. The map binds [k] to
+   [k * 10] and every lookup checks the value it finds. *)
+module type SUT = sig
+  type t
+  type position
+
+  val create : unit -> t
+  val insert : t -> int -> bool
+  val remove : t -> int -> bool
+  val contains : t -> int -> bool
+  val head_position : t -> position
+  val insert_from : t -> position -> int -> bool * position
+  val remove_from : t -> position -> int -> bool * position
+  val contains_from : t -> position -> int -> bool * position
+  val keys : t -> int list
+end
+
+module Set_view : SUT = struct
+  include H
+
+  let keys = H.to_list
+end
+
+module KV = Lockfree.Harris_kv.Make (Int)
+
+module Map_view : SUT = struct
+  type t = int KV.t
+  type position = int KV.position
+
+  let bound k = function
+    | Some v ->
+        if v <> k * 10 then Alcotest.failf "key %d bound to %d" k v;
+        true
+    | None -> false
+
+  let create = KV.create
+  let insert t k = KV.insert t k (k * 10)
+  let remove t k = bound k (KV.remove t k)
+  let contains t k = bound k (KV.find t k)
+  let head_position = KV.head_position
+  let insert_from t pos k = KV.insert_from t pos k (k * 10)
+
+  let remove_from t pos k =
+    let r, pos = KV.remove_from t pos k in
+    (bound k r, pos)
+
+  let contains_from t pos k =
+    let r, pos = KV.find_from t pos k in
+    (bound k r, pos)
+
+  let keys t = List.map fst (KV.bindings t)
+end
+
+module Core_tests (S : SUT) = struct
+  let filled keys =
+    let l = S.create () in
+    List.iter (fun k -> assert (S.insert l k)) keys;
+    l
+
+  (* Minor words per lookup of a present key past the head, and of an
+     absent key past the tail, averaged over repeated calls. *)
+  let lookup_words l ~hit ~miss =
+    let calls = 1_000 in
+    let per f =
+      let w0 = Gc.minor_words () in
+      for _ = 1 to calls do
+        ignore (Sys.opaque_identity (f ()))
+      done;
+      (Gc.minor_words () -. w0) /. float_of_int calls
+    in
+    ( per (fun () -> S.contains l hit),
+      per (fun () -> S.contains l miss) )
+
+  (* A lookup allocates a constant number of words, whatever the number
+     of nodes it passes. *)
+  let test_alloc_budget () =
+    let small = filled (List.init 10 (fun i -> 2 * i)) in
+    let large = filled (List.init 5_000 (fun i -> 2 * i)) in
+    let sh, sm = lookup_words small ~hit:8 ~miss:21 in
+    let lh, lm = lookup_words large ~hit:9_000 ~miss:10_001 in
+    List.iter
+      (fun (what, w) ->
+        if w > 32.0 then Alcotest.failf "%s: %.1f words per lookup" what w)
+      [ ("10-key hit", sh); ("10-key miss", sm);
+        ("5000-key hit", lh); ("5000-key miss", lm) ];
+    Alcotest.(check (float 0.5)) "hit words independent of length" sh lh;
+    Alcotest.(check (float 0.5)) "miss words independent of length" sm lm
+
+  let test_remove_tail_insert_past () =
+    let l = filled [ 1; 2; 3 ] in
+    Alcotest.(check bool) "remove tail" true (S.remove l 3);
+    Alcotest.(check bool) "insert past old tail" true (S.insert l 4);
+    Alcotest.(check bool) "reinsert old tail" true (S.insert l 3);
+    Alcotest.(check (list int)) "order" [ 1; 2; 3; 4 ] (S.keys l);
+    Alcotest.(check bool) "remove new tail" true (S.remove l 4);
+    Alcotest.(check bool) "remove down to empty" true
+      (S.remove l 3 && S.remove l 2 && S.remove l 1);
+    Alcotest.(check bool) "insert into emptied list" true (S.insert l 5);
+    Alcotest.(check (list int)) "single" [ 5 ] (S.keys l)
+
+  (* A position at the tail, taken before the tail's link is marked:
+     inserting past it must land after the tail's live predecessor. *)
+  let test_insert_after_marked_tail () =
+    let l = filled [ 10; 20 ] in
+    let absent, pos = S.contains_from l (S.head_position l) 30 in
+    Alcotest.(check bool) "30 absent" false absent;
+    Alcotest.(check bool) "mark the tail" true (S.remove l 20);
+    let inserted, pos = S.insert_from l pos 30 in
+    Alcotest.(check bool) "insert past marked tail" true inserted;
+    let inserted, _ = S.insert_from l pos 40 in
+    Alcotest.(check bool) "insert past the new tail" true inserted;
+    Alcotest.(check (list int)) "order" [ 10; 30; 40 ] (S.keys l)
+
+  let test_resume_from_dead_tail () =
+    let l = filled [ 10; 20 ] in
+    let _, pos = S.contains_from l (S.head_position l) 25 in
+    Alcotest.(check bool) "remove tail" true (S.remove l 20);
+    Alcotest.(check bool) "dead tail: 20 absent" false
+      (fst (S.contains_from l pos 20));
+    Alcotest.(check bool) "dead tail: remove 20 fails" false
+      (fst (S.remove_from l pos 20));
+    Alcotest.(check bool) "fresh 20" true (S.insert l 20);
+    Alcotest.(check bool) "dead tail: fresh 20 seen" true
+      (fst (S.contains_from l pos 20));
+    Alcotest.(check bool) "dead tail: remove fresh 20" true
+      (fst (S.remove_from l pos 20));
+    Alcotest.(check (list int)) "order" [ 10 ] (S.keys l)
+
+  (* Two domains on keys {0,1,2}: nearly every CAS lands on an end link
+     (an insert after the tail, a mark of the tail, an unlink into the
+     end). Successful inserts and removes of a key alternate, and every
+     snapshot taken mid-run is strictly ascending. *)
+  let test_end_link_stress () =
+    let l = S.create () in
+    let keys = 3 and ops = 20_000 in
+    let work i () =
+      let rng = Workload.Rng.create ~seed:41 ~stream:i in
+      let ins = Array.make keys 0 and rem = Array.make keys 0 in
+      let unsorted = ref 0 in
+      for n = 1 to ops do
+        let k = Workload.Rng.below rng keys in
+        (match Workload.Rng.below rng 3 with
+        | 0 -> if S.insert l k then ins.(k) <- ins.(k) + 1
+        | 1 -> if S.remove l k then rem.(k) <- rem.(k) + 1
+        | _ -> ignore (S.contains l k));
+        if n mod 16 = 0 then begin
+          let snap = S.keys l in
+          if List.sort_uniq compare snap <> snap then incr unsorted
+        end
+      done;
+      (ins, rem, !unsorted)
+    in
+    let ds = List.init 2 (fun i -> Domain.spawn (work i)) in
+    let results = List.map Domain.join ds in
+    let final = S.keys l in
+    List.iter
+      (fun (_, _, unsorted) ->
+        Alcotest.(check int) "snapshots strictly ascending" 0 unsorted)
+      results;
+    for k = 0 to keys - 1 do
+      let sum f = List.fold_left (fun a r -> a + (f r).(k)) 0 results in
+      let ins = sum (fun (i, _, _) -> i) and rem = sum (fun (_, r, _) -> r) in
+      Alcotest.(check int)
+        (Printf.sprintf "key %d balance" k)
+        (if List.mem k final then 1 else 0)
+        (ins - rem)
+    done
+
+  let cases name =
+    let tc what speed f =
+      Alcotest.test_case (Printf.sprintf "%s: %s" name what) speed f
+    in
+    [
+      tc "lookup allocation budget" `Quick test_alloc_budget;
+      tc "remove tail, insert past" `Quick test_remove_tail_insert_past;
+      tc "insert after marked tail" `Quick test_insert_after_marked_tail;
+      tc "resume from dead tail" `Quick test_resume_from_dead_tail;
+      tc "end-link stress (2 domains)" `Slow test_end_link_stress;
+    ]
+end
+
+module Set_tests = Core_tests (Set_view)
+module Map_tests = Core_tests (Map_view)
+
 let () =
   Alcotest.run "lockfree-list"
     [
@@ -292,4 +479,5 @@ let () =
           Alcotest.test_case "snapshots stay sorted (2 domains)" `Slow
             test_parallel_snapshot_sorted;
         ] );
+      ("core", Set_tests.cases "set" @ Map_tests.cases "map");
     ]

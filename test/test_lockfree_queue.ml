@@ -167,44 +167,28 @@ let prop_model =
     QCheck.(list (pair (int_bound 3) (list small_int)))
     (fun script ->
       let q = Q.create () in
-      let model = ref [] in
+      let model = Queue.create () in
       List.for_all
         (fun (kind, args) ->
           match kind with
           | 0 ->
               let v = match args with v :: _ -> v | [] -> 0 in
               Q.enqueue q v;
-              model := !model @ [ v ];
+              Queue.push v model;
               true
-          | 1 ->
-              let expected =
-                match !model with
-                | [] -> None
-                | x :: rest ->
-                    model := rest;
-                    Some x
-              in
-              Q.dequeue q = expected
+          | 1 -> Q.dequeue q = Queue.take_opt model
           | 2 ->
               Q.enqueue_list q args;
-              model := !model @ args;
+              List.iter (fun v -> Queue.push v model) args;
               true
           | _ ->
               let n = List.length args in
-              let rec take k l =
-                if k = 0 then ([], l)
-                else
-                  match l with
-                  | [] -> ([], [])
-                  | x :: rest ->
-                      let t, l' = take (k - 1) rest in
-                      (x :: t, l')
+              let expected =
+                List.filter_map (fun _ -> Queue.take_opt model) args
               in
-              let expected, rest = take n !model in
-              model := rest;
               Q.dequeue_many q n = expected)
         script
-      && Q.to_list q = !model)
+      && Q.to_list q = List.of_seq (Queue.to_seq model))
 
 let () =
   Alcotest.run "lockfree-queue"
