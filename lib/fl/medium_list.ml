@@ -13,14 +13,15 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     owner : t;
     mutable ops : op list; (* newest first *)
     mutable n_ops : int;
+    (* The evaluator every future of this handle carries: flush until
+       the forced future — its argument — is ready. *)
+    eval : bool Future.t -> unit;
   }
 
   let create ?(resume_hint = true) () =
     { list = L.create (); resume_hint }
 
   let shared t = t.list
-
-  let handle owner = { owner; ops = []; n_ops = 0 }
 
   let pending_count h = h.n_ops
 
@@ -63,6 +64,17 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
 
   let flush h = flush_until h (fun () -> false)
 
+  let handle owner =
+    let rec h =
+      {
+        owner;
+        ops = [];
+        n_ops = 0;
+        eval = (fun f -> flush_until h (fun () -> Future.is_ready f));
+      }
+    in
+    h
+
   let abandon h =
     let n = ref 0 in
     List.iter
@@ -73,9 +85,7 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     !n
 
   let add h key kind =
-    let future = Future.create () in
-    Future.set_evaluator future (fun () ->
-        flush_until h (fun () -> Future.is_ready future));
+    let future = Future.create_with ~evaluator:h.eval in
     h.ops <- { key; kind; future } :: h.ops;
     h.n_ops <- h.n_ops + 1;
     future

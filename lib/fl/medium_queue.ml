@@ -7,12 +7,17 @@ type 'a t = { queue : 'a Lockfree.Ms_queue.t }
 type 'a handle = {
   owner : 'a t;
   ops : 'a op Opbuf.t; (* oldest first *)
+  (* Built once with the handle, so neither an op nor a flush allocates
+     a closure: the evaluator every future of this handle carries — flush
+     until the forced future, its argument, is ready — and the segment
+     callbacks that read the window's front run. *)
+  eval : 'x. 'x Future.t -> unit;
+  get_enq : int -> 'a;
+  put_deq : int -> 'a option -> unit;
 }
 
 let create () = { queue = Lockfree.Ms_queue.create () }
 let shared t = t.queue
-
-let handle owner = { owner; ops = Opbuf.create () }
 
 let pending_count h = Opbuf.length h.ops
 
@@ -43,44 +48,56 @@ let withdraw_cancelled h =
   done;
   if !any then ignore (Opbuf.compact h.ops : int)
 
-(* Apply maximal prefix runs of same-type operations until [stop]
-   (checked between runs) or exhaustion. Each run is spliced straight out
-   of the ring — one combined enqueue or dequeue per run — and dropped
-   from the front only once fully applied, so operations appended by
-   reentrant invocations simply extend the tail of the window. *)
+(* Apply maximal prefix runs of same-type operations until [stop] — the
+   future being forced, checked between runs — is ready, or the window
+   is exhausted. Each run is spliced straight out of the ring — one
+   combined enqueue or dequeue per run — and dropped from the front only
+   once fully applied, so operations appended by reentrant invocations
+   simply extend the tail of the window. *)
+let rec flush_runs h stop =
+  let len = Opbuf.length h.ops in
+  if len > 0 && not (Future.is_ready stop) then begin
+    let first = Opbuf.get h.ops 0 in
+    let n = ref 1 in
+    while !n < len && same_kind (Opbuf.get h.ops !n) first do incr n done;
+    let n = !n in
+    (match first with
+    | Enq _ ->
+        Lockfree.Ms_queue.enqueue_seg h.owner.queue ~n ~get:h.get_enq;
+        Obs.splice ~kind:Obs.Event.k_medium_queue_enq ~n;
+        for i = 0 to n - 1 do
+          Future.fulfil (enq_future (Opbuf.get h.ops i)) ()
+        done
+    | Deq _ ->
+        let k = Lockfree.Ms_queue.dequeue_seg h.owner.queue ~n ~f:h.put_deq in
+        Obs.splice ~kind:Obs.Event.k_medium_queue_deq ~n:k;
+        for i = k to n - 1 do
+          Future.fulfil (deq_future (Opbuf.get h.ops i)) None
+        done);
+    Opbuf.drop_front h.ops n;
+    flush_runs h stop
+  end
+
 let flush_until h stop =
   withdraw_cancelled h;
-  let rec go () =
-    let len = Opbuf.length h.ops in
-    if len > 0 && not (stop ()) then begin
-      let first = Opbuf.get h.ops 0 in
-      let n = ref 1 in
-      while !n < len && same_kind (Opbuf.get h.ops !n) first do incr n done;
-      let n = !n in
-      (match first with
-      | Enq _ ->
-          Lockfree.Ms_queue.enqueue_seg h.owner.queue ~n ~get:(fun i ->
-              enq_value (Opbuf.get h.ops i));
-          Obs.splice ~kind:Obs.Event.k_medium_queue_enq ~n;
-          for i = 0 to n - 1 do
-            Future.fulfil (enq_future (Opbuf.get h.ops i)) ()
-          done
-      | Deq _ ->
-          let k =
-            Lockfree.Ms_queue.dequeue_seg h.owner.queue ~n ~f:(fun i v ->
-                Future.fulfil (deq_future (Opbuf.get h.ops i)) (Some v))
-          in
-          Obs.splice ~kind:Obs.Event.k_medium_queue_deq ~n:k;
-          for i = k to n - 1 do
-            Future.fulfil (deq_future (Opbuf.get h.ops i)) None
-          done);
-      Opbuf.drop_front h.ops n;
-      go ()
-    end
-  in
-  go ()
+  flush_runs h stop
 
-let flush h = flush_until h (fun () -> false)
+(* Terminal, so never ready: flushing until it empties the window. *)
+let never : unit Future.t = Future.rejected ()
+
+let flush h = flush_until h never
+
+let handle owner =
+  let rec h =
+    {
+      owner;
+      ops = Opbuf.create ();
+      eval = (fun f -> flush_until h f);
+      get_enq = (fun i -> enq_value (Opbuf.get h.ops i));
+      put_deq = (fun i r -> Future.fulfil (deq_future (Opbuf.get h.ops i)) r);
+    }
+  in
+  h
 
 let abandon h =
   let n = ref 0 in
@@ -93,15 +110,11 @@ let abandon h =
   !n
 
 let enqueue h x =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () ->
-      flush_until h (fun () -> Future.is_ready f));
+  let f = Future.create_with ~evaluator:h.eval in
   Opbuf.push h.ops (Enq (x, f));
   f
 
 let dequeue h =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () ->
-      flush_until h (fun () -> Future.is_ready f));
+  let f = Future.create_with ~evaluator:h.eval in
   Opbuf.push h.ops (Deq f);
   f

@@ -25,20 +25,17 @@ type 'a handle = {
   buf_vals : 'a Opbuf.t;
   buf_futs : unit Future.t Opbuf.t;
   shared_pops : 'a option Future.t Opbuf.t;
+  (* Built once with the handle, so neither an op nor a flush allocates
+     a closure: the evaluator every future of this handle carries —
+     [flush] — and the segment callbacks that read [shared_pops] and
+     [buf_vals]. *)
+  eval : 'x. 'x Future.t -> unit;
+  put_pop : int -> 'a -> unit;
+  get_val : int -> 'a;
 }
 
 let create () = { stack = Lockfree.Treiber_stack.create () }
 let shared t = t.stack
-
-let handle owner =
-  {
-    owner;
-    ops = Opbuf.create ();
-    work = Opbuf.create ();
-    buf_vals = Opbuf.create ();
-    buf_futs = Opbuf.create ();
-    shared_pops = Opbuf.create ();
-  }
 
 let pending_count h = Opbuf.length h.ops
 
@@ -77,10 +74,7 @@ let flush h =
     let np = Opbuf.length h.shared_pops in
     if np > 0 then begin
       (* Oldest surviving pop receives the value that was on top. *)
-      let k =
-        Lockfree.Treiber_stack.pop_seg h.owner.stack ~n:np ~f:(fun i v ->
-            Future.fulfil (Opbuf.get h.shared_pops i) (Some v))
-      in
+      let k = Lockfree.Treiber_stack.pop_seg h.owner.stack ~n:np ~f:h.put_pop in
       Obs.splice ~kind:Obs.Event.k_medium_stack_pop ~n:k;
       for i = k to np - 1 do
         Future.fulfil (Opbuf.get h.shared_pops i) None
@@ -90,8 +84,7 @@ let flush h =
     let nb = Opbuf.length h.buf_vals in
     if nb > 0 then begin
       (* Oldest surviving push deepest: one CAS splices the window. *)
-      Lockfree.Treiber_stack.push_seg h.owner.stack ~n:nb ~get:(fun i ->
-          Opbuf.get h.buf_vals i);
+      Lockfree.Treiber_stack.push_seg h.owner.stack ~n:nb ~get:h.get_val;
       Obs.splice ~kind:Obs.Event.k_medium_stack_push ~n:nb;
       for i = 0 to nb - 1 do
         Future.fulfil (Opbuf.get h.buf_futs i) ()
@@ -100,6 +93,22 @@ let flush h =
       Opbuf.clear h.buf_futs
     end
   end
+
+let handle owner =
+  let rec h =
+    {
+      owner;
+      ops = Opbuf.create ();
+      work = Opbuf.create ();
+      buf_vals = Opbuf.create ();
+      buf_futs = Opbuf.create ();
+      shared_pops = Opbuf.create ();
+      eval = (fun _ -> flush h);
+      put_pop = (fun i v -> Future.fulfil (Opbuf.get h.shared_pops i) (Some v));
+      get_val = (fun i -> Opbuf.get h.buf_vals i);
+    }
+  in
+  h
 
 let abandon h =
   let n = ref 0 in
@@ -119,13 +128,11 @@ let abandon h =
   !n
 
 let push h x =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush h);
+  let f = Future.create_with ~evaluator:h.eval in
   Opbuf.push h.ops (Push (x, f));
   f
 
 let pop h =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush h);
+  let f = Future.create_with ~evaluator:h.eval in
   Opbuf.push h.ops (Pop f);
   f

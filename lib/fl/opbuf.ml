@@ -132,11 +132,5 @@ let iter f t =
     if not (is_tomb x) then f x
   done
 
-let rev_iter f t =
-  for i = t.len - 1 downto 0 do
-    let x = t.buf.(phys t i) in
-    if not (is_tomb x) then f x
-  done
-
 let to_list t =
   List.filter (fun x -> not (is_tomb x)) (List.init t.len (fun i -> t.buf.(phys t i)))

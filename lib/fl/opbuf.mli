@@ -21,7 +21,7 @@
     {b Tombstones.} A slot can be {!delete}d in place — e.g. when the op
     it holds was cancelled. The tombstone keeps its logical index (so
     parallel rings — values in one, futures in another — stay aligned)
-    but is invisible to {!iter}/{!rev_iter}/{!to_list}, discarded by
+    but is invisible to {!iter}/{!to_list}, discarded by
     {!pop_back}, and removed by {!compact} before a window is spliced
     into the shared structure with the [*_seg] operations. *)
 
@@ -91,9 +91,6 @@ val swap : 'a t -> 'a t -> unit
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Oldest first. The buffer must not be mutated during iteration. *)
-
-val rev_iter : ('a -> unit) -> 'a t -> unit
-(** Newest first. *)
 
 val to_list : 'a t -> 'a list
 (** Oldest first; for tests. *)

@@ -383,26 +383,27 @@ module Make (K : KEY) = struct
       done
     end
 
-  let add h k op f =
-    let i = bucket_of_key h.t k in
-    Opbuf.push h.wins.(i) op;
-    Future.set_evaluator f (fun () ->
-        flush h;
-        settle h i (fun () -> Future.is_pending f))
+  (* The evaluator of a future whose op sits in bucket [i]'s window. *)
+  let eval h i f =
+    flush h;
+    settle h i (fun () -> Future.is_pending f)
 
   let insert h k v =
-    let f = Future.create () in
-    add h k (Insert (k, v, f)) f;
+    let i = bucket_of_key h.t k in
+    let f = Future.create_with ~evaluator:(eval h i) in
+    Opbuf.push h.wins.(i) (Insert (k, v, f));
     f
 
   let find h k =
-    let f = Future.create () in
-    add h k (Find (k, f)) f;
+    let i = bucket_of_key h.t k in
+    let f = Future.create_with ~evaluator:(eval h i) in
+    Opbuf.push h.wins.(i) (Find (k, f));
     f
 
   let remove h k =
-    let f = Future.create () in
-    add h k (Remove (k, f)) f;
+    let i = bucket_of_key h.t k in
+    let f = Future.create_with ~evaluator:(eval h i) in
+    Opbuf.push h.wins.(i) (Remove (k, f));
     f
 
   let pending_count h =

@@ -34,6 +34,39 @@ let set_slack t n = t.slack <- (if n < 1 then 1 else n)
 
 let pending t = Opbuf.length t.window
 
+(* A force thunk raised after [ran] of [free]'s thunks were started (the
+   raiser included): drop those, and put the un-run ones back at the
+   front of the window, in their order and ahead of anything noted
+   reentrantly meanwhile — they are older. *)
+let requeue t ~ran =
+  let n = Opbuf.length t.free in
+  (match t.order with
+  | Newest_first -> Opbuf.truncate t.free (n - ran)
+  | Oldest_first -> Opbuf.drop_front t.free ran);
+  Opbuf.iter (Opbuf.push t.free) t.window;
+  Opbuf.swap t.window t.free;
+  Opbuf.clear t.free
+
+(* Run the detached window [free] in the configured order, from its
+   [k]-th thunk on. *)
+let rec run_free t n k =
+  if k < n then begin
+    let i =
+      match t.order with Newest_first -> n - 1 - k | Oldest_first -> k
+    in
+    (* Bound first: [Opbuf.get t.free i ()] would build a partial
+       application of [get] on every call. *)
+    let force = Opbuf.get t.free i in
+    match force () with
+    | () -> run_free t n (k + 1)
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        requeue t ~ran:(k + 1);
+        t.draining <- false;
+        Printexc.raise_with_backtrace e bt
+  end
+  else Opbuf.clear t.free
+
 (* Forcing newest first, the first force reaches the deepest pending
    operation, so implementations that evaluate "until F is ready" (the
    medium-FL queue and list) resolve the whole window in one combined
@@ -45,18 +78,12 @@ let drain t =
     t.draining <- true;
     (* Loop: thunks registered reentrantly while draining fill the live
        window and are drained too before we return. *)
-    Fun.protect
-      ~finally:(fun () -> t.draining <- false)
-      (fun () ->
-        while not (Opbuf.is_empty t.window) do
-          Opbuf.swap t.window t.free;
-          Obs.splice ~kind:Obs.Event.k_slack_drain ~n:(Opbuf.length t.free);
-          let run force = force () in
-          (match t.order with
-          | Newest_first -> Opbuf.rev_iter run t.free
-          | Oldest_first -> Opbuf.iter run t.free);
-          Opbuf.clear t.free
-        done)
+    while not (Opbuf.is_empty t.window) do
+      Opbuf.swap t.window t.free;
+      Obs.splice ~kind:Obs.Event.k_slack_drain ~n:(Opbuf.length t.free);
+      run_free t (Opbuf.length t.free) 0
+    done;
+    t.draining <- false
   end
 
 let abandon t =

@@ -43,7 +43,11 @@ val pending : t -> int
 (** Number of currently outstanding futures. *)
 
 val drain : t -> unit
-(** Force all outstanding futures now (newest first, see {!note}). *)
+(** Force all outstanding futures now (newest first, see {!note}). If a
+    force thunk raises, the exception propagates out of [drain] (or the
+    [note] that triggered it): the thunks that ran, the raiser included,
+    are dropped, and the un-run ones stay pending at the front of the
+    window, in order, for the next drain. *)
 
 val abandon : t -> int
 (** Recovery hook: drop every registered force thunk without running it

@@ -38,10 +38,11 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     { seq; core = Strong_core.create ~apply_batch:(apply_batch seq ~sort_batch) }
 
   let submit t key kind =
-    let future = Future.create () in
+    let future =
+      Future.create_with ~evaluator:(fun f ->
+          Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f))
+    in
     Strong_core.submit t.core { key; kind; future };
-    Future.set_evaluator future (fun () ->
-        Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready future));
     future
 
   let insert t key = submit t key Insert

@@ -17,19 +17,18 @@ let create () =
   let seq = Seqds.Seq_queue.create () in
   { seq; core = Strong_core.create ~apply_batch:(apply_batch seq) }
 
-let submit_op t op f =
-  Strong_core.submit t.core op;
-  Future.set_evaluator f (fun () ->
-      Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f))
+(* Forcing evaluates the shared pending queue until the forced future
+   is ready. *)
+let eval t f = Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f)
 
 let enqueue t x =
-  let f = Future.create () in
-  submit_op t (Enq (x, f)) f;
+  let f = Future.create_with ~evaluator:(eval t) in
+  Strong_core.submit t.core (Enq (x, f));
   f
 
 let dequeue t =
-  let f = Future.create () in
-  submit_op t (Deq f) f;
+  let f = Future.create_with ~evaluator:(eval t) in
+  Strong_core.submit t.core (Deq f);
   f
 
 let drain t = Strong_core.drain_now t.core

@@ -31,18 +31,18 @@ let create () =
   let seq = Seqds.Seq_stack.create () in
   { seq; core = Strong_core.create ~apply_batch:(apply_batch seq) }
 
+(* Forcing evaluates the shared pending queue until the forced future
+   is ready. *)
+let eval t f = Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f)
+
 let push t x =
-  let f = Future.create () in
+  let f = Future.create_with ~evaluator:(eval t) in
   Strong_core.submit t.core (Push (x, f));
-  Future.set_evaluator f (fun () ->
-      Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f));
   f
 
 let pop t =
-  let f = Future.create () in
+  let f = Future.create_with ~evaluator:(eval t) in
   Strong_core.submit t.core (Pop f);
-  Future.set_evaluator f (fun () ->
-      Strong_core.eval t.core ~is_ready:(fun () -> Future.is_ready f));
   f
 
 let drain t = Strong_core.drain_now t.core

@@ -16,13 +16,13 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
        application is what makes the reordering legal under medium-FL. *)
     mutable pending : op list KMap.t;
     mutable count : int;
+    (* The evaluator every future of this handle carries: [flush]. *)
+    eval : bool Future.t -> unit;
   }
 
   let create () = { list = L.create (); lock = Sync.Spinlock.create () }
 
   let shared t = t.list
-
-  let handle owner = { owner; pending = KMap.empty; count = 0 }
 
   let pending_count h = h.count
 
@@ -83,6 +83,12 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
                  (L.head_position h.owner.list)
                  groups))
 
+  let handle owner =
+    let rec h =
+      { owner; pending = KMap.empty; count = 0; eval = (fun _ -> flush h) }
+    in
+    h
+
   let abandon h =
     let n = ref 0 in
     KMap.iter
@@ -96,8 +102,7 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     !n
 
   let add h key kind =
-    let future = Future.create () in
-    Future.set_evaluator future (fun () -> flush h);
+    let future = Future.create_with ~evaluator:h.eval in
     let op = { kind; future } in
     h.pending <-
       KMap.update key

@@ -15,12 +15,12 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     (* Swapped in at flush time so reentrant operations land in a fresh
        window. *)
     work : op Opbuf.t;
+    (* The evaluator every future of this handle carries: [flush]. *)
+    eval : bool Future.t -> unit;
   }
 
   let create () = { list = L.create () }
   let shared t = t.list
-
-  let handle owner = { owner; ops = Opbuf.create (); work = Opbuf.create () }
 
   let pending_count h = Opbuf.length h.ops
 
@@ -101,6 +101,17 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
       Opbuf.clear h.work
     end
 
+  let handle owner =
+    let rec h =
+      {
+        owner;
+        ops = Opbuf.create ();
+        work = Opbuf.create ();
+        eval = (fun _ -> flush h);
+      }
+    in
+    h
+
   let abandon h =
     let n = ref 0 in
     let poison op =
@@ -113,8 +124,7 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     !n
 
   let add h key kind =
-    let future = Future.create () in
-    Future.set_evaluator future (fun () -> flush h);
+    let future = Future.create_with ~evaluator:h.eval in
     Opbuf.push h.ops { key; kind; future };
     future
 

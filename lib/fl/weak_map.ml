@@ -15,12 +15,12 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     owner : 'v t;
     mutable pending : 'v op list KMap.t; (* per key, newest first *)
     mutable count : int;
+    (* The evaluator every future of this handle carries: [flush]. *)
+    eval : 'x. 'x Future.t -> unit;
   }
 
   let create () = { map = M.create () }
   let shared t = t.map
-
-  let handle owner = { owner; pending = KMap.empty; count = 0 }
 
   let pending_count h = h.count
 
@@ -57,6 +57,12 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
          (M.head_position h.owner.map)
          groups)
 
+  let handle owner =
+    let rec h =
+      { owner; pending = KMap.empty; count = 0; eval = (fun _ -> flush h) }
+    in
+    h
+
   let add h key op =
     h.pending <-
       KMap.update key
@@ -86,20 +92,17 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     !n
 
   let insert h key v =
-    let f = Future.create () in
-    Future.set_evaluator f (fun () -> flush h);
+    let f = Future.create_with ~evaluator:h.eval in
     add h key (Insert (v, f));
     f
 
   let find h key =
-    let f = Future.create () in
-    Future.set_evaluator f (fun () -> flush h);
+    let f = Future.create_with ~evaluator:h.eval in
     add h key (Find f);
     f
 
   let remove h key =
-    let f = Future.create () in
-    Future.set_evaluator f (fun () -> flush h);
+    let f = Future.create_with ~evaluator:h.eval in
     add h key (Remove f);
     f
 end

@@ -14,21 +14,17 @@ type 'a handle = {
   scratch_vals : 'a Opbuf.t;
   scratch_futs : unit Future.t Opbuf.t;
   scratch_deqs : 'a option Future.t Opbuf.t;
+  (* Built once with the handle, so neither an op nor a flush allocates
+     a closure: the evaluators this handle's futures carry, and the
+     segment callbacks that read the detached window. *)
+  eval_enq : unit Future.t -> unit;
+  eval_deq : 'a option Future.t -> unit;
+  get_val : int -> 'a;
+  put_deq : int -> 'a option -> unit;
 }
 
 let create () = { queue = Lockfree.Ms_queue.create () }
 let shared t = t.queue
-
-let handle owner =
-  {
-    owner;
-    enq_vals = Opbuf.create ();
-    enq_futs = Opbuf.create ();
-    deqs = Opbuf.create ();
-    scratch_vals = Opbuf.create ();
-    scratch_futs = Opbuf.create ();
-    scratch_deqs = Opbuf.create ();
-  }
 
 let pending_count h = Opbuf.length h.enq_vals + Opbuf.length h.deqs
 
@@ -66,8 +62,7 @@ let flush_enqueues h =
     Opbuf.swap h.enq_vals h.scratch_vals;
     Opbuf.swap h.enq_futs h.scratch_futs;
     let n = drop_cancelled_pairs h.scratch_vals h.scratch_futs n in
-    Lockfree.Ms_queue.enqueue_seg h.owner.queue ~n ~get:(fun i ->
-        Opbuf.get h.scratch_vals i);
+    Lockfree.Ms_queue.enqueue_seg h.owner.queue ~n ~get:h.get_val;
     Obs.splice ~kind:Obs.Event.k_weak_queue_enq ~n;
     for i = 0 to n - 1 do
       Future.fulfil (Opbuf.get h.scratch_futs i) ()
@@ -83,10 +78,7 @@ let flush_dequeues h =
     let n = drop_cancelled h.scratch_deqs n in
     (* Oldest pending dequeue receives the oldest element; dequeues in
        excess of the queue's size observe "empty". *)
-    let k =
-      Lockfree.Ms_queue.dequeue_seg h.owner.queue ~n ~f:(fun i v ->
-          Future.fulfil (Opbuf.get h.scratch_deqs i) (Some v))
-    in
+    let k = Lockfree.Ms_queue.dequeue_seg h.owner.queue ~n ~f:h.put_deq in
     Obs.splice ~kind:Obs.Event.k_weak_queue_deq ~n:k;
     for i = k to n - 1 do
       Future.fulfil (Opbuf.get h.scratch_deqs i) None
@@ -97,6 +89,24 @@ let flush_dequeues h =
 let flush h =
   flush_enqueues h;
   flush_dequeues h
+
+let handle owner =
+  let rec h =
+    {
+      owner;
+      enq_vals = Opbuf.create ();
+      enq_futs = Opbuf.create ();
+      deqs = Opbuf.create ();
+      scratch_vals = Opbuf.create ();
+      scratch_futs = Opbuf.create ();
+      scratch_deqs = Opbuf.create ();
+      eval_enq = (fun _ -> flush_enqueues h);
+      eval_deq = (fun _ -> flush_dequeues h);
+      get_val = (fun i -> Opbuf.get h.scratch_vals i);
+      put_deq = (fun i r -> Future.fulfil (Opbuf.get h.scratch_deqs i) r);
+    }
+  in
+  h
 
 let abandon h =
   let n = ref 0 in
@@ -116,14 +126,12 @@ let abandon h =
   !n
 
 let enqueue h x =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush_enqueues h);
+  let f = Future.create_with ~evaluator:h.eval_enq in
   Opbuf.push h.enq_vals x;
   Opbuf.push h.enq_futs f;
   f
 
 let dequeue h =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush_dequeues h);
+  let f = Future.create_with ~evaluator:h.eval_deq in
   Opbuf.push h.deqs f;
   f

@@ -22,6 +22,12 @@ type 'a handle = {
   scratch_vals : 'a Opbuf.t;
   scratch_futs : unit Future.t Opbuf.t;
   scratch_pops : 'a option Future.t Opbuf.t;
+  (* Built once with the handle, so neither an op nor a flush allocates
+     a closure: the evaluator every future of this handle carries —
+     [flush] — and the segment callbacks that read the detached window. *)
+  eval : 'x. 'x Future.t -> unit;
+  get_val : int -> 'a;
+  put_pop : int -> 'a -> unit;
 }
 
 let create ?(elimination = true) ?(exchange = false) () =
@@ -37,17 +43,6 @@ let exchanged t =
   match t.exchange with None -> 0 | Some ex -> Lockfree.Exchanger.exchanged ex
 
 let exchanger t = t.exchange
-
-let handle owner =
-  {
-    owner;
-    push_vals = Opbuf.create ();
-    push_futs = Opbuf.create ();
-    pops = Opbuf.create ();
-    scratch_vals = Opbuf.create ();
-    scratch_futs = Opbuf.create ();
-    scratch_pops = Opbuf.create ();
-  }
 
 let pending_count h = Opbuf.length h.push_vals + Opbuf.length h.pops
 
@@ -110,8 +105,7 @@ let flush_pushes h =
       | _ -> n
     in
     (* Oldest push deepest: one CAS splices the whole window. *)
-    Lockfree.Treiber_stack.push_seg h.owner.stack ~n ~get:(fun i ->
-        Opbuf.get h.scratch_vals i);
+    Lockfree.Treiber_stack.push_seg h.owner.stack ~n ~get:h.get_val;
     Obs.splice ~kind:Obs.Event.k_weak_stack_push ~n;
     for i = 0 to n - 1 do
       Future.fulfil (Opbuf.get h.scratch_futs i) ()
@@ -126,10 +120,7 @@ let flush_pops h =
     Opbuf.swap h.pops h.scratch_pops;
     let n = drop_cancelled h.scratch_pops n in
     (* Oldest pending pop receives the value that was on top. *)
-    let k =
-      Lockfree.Treiber_stack.pop_seg h.owner.stack ~n ~f:(fun i v ->
-          Future.fulfil (Opbuf.get h.scratch_pops i) (Some v))
-    in
+    let k = Lockfree.Treiber_stack.pop_seg h.owner.stack ~n ~f:h.put_pop in
     Obs.splice ~kind:Obs.Event.k_weak_stack_pop ~n:k;
     (* Pops in excess of the stack's size try the exchange array — some
        other handle may be flushing pushes right now — and only then
@@ -148,6 +139,24 @@ let flush_pops h =
 let flush h =
   flush_pops h;
   flush_pushes h
+
+let handle owner =
+  let rec h =
+    {
+      owner;
+      push_vals = Opbuf.create ();
+      push_futs = Opbuf.create ();
+      pops = Opbuf.create ();
+      scratch_vals = Opbuf.create ();
+      scratch_futs = Opbuf.create ();
+      scratch_pops = Opbuf.create ();
+      eval = (fun _ -> flush h);
+      get_val = (fun i -> Opbuf.get h.scratch_vals i);
+      put_pop =
+        (fun i v -> Future.fulfil (Opbuf.get h.scratch_pops i) (Some v));
+    }
+  in
+  h
 
 let abandon h =
   let n = ref 0 in
@@ -169,20 +178,26 @@ let abandon h =
 (* Elimination: a push hands its value to the newest pending pop (and
    vice versa); neither operation ever reaches the shared stack. A
    partner whose future was cancelled no longer wants the pairing: drop
-   it and pair with the next. Top-level (not closures) so the window
-   fast path below allocates nothing beyond the future. *)
+   it and pair with the next. The partner leaves its window only after
+   its future is terminal, so a kill inside [try_fulfil] leaves it for
+   [abandon]. Top-level (not closures) so the window fast path below
+   allocates nothing beyond the future. *)
 let rec eliminate_push h x =
-  if Opbuf.length h.pops > 0 then
-    if Future.try_fulfil (Opbuf.pop_back h.pops) (Some x) then
-      Some (Future.of_value ())
-    else eliminate_push h x
+  let n = Opbuf.length h.pops in
+  if n > 0 then begin
+    let won = Future.try_fulfil (Opbuf.get h.pops (n - 1)) (Some x) in
+    ignore (Opbuf.pop_back h.pops : _ Future.t);
+    if won then Some (Future.of_value ()) else eliminate_push h x
+  end
   else None
 
 let rec eliminate_pop h =
-  if Opbuf.length h.push_vals > 0 then begin
+  let n = Opbuf.length h.push_vals in
+  if n > 0 then begin
+    let won = Future.try_fulfil (Opbuf.get h.push_futs (n - 1)) () in
     let x = Opbuf.pop_back h.push_vals in
-    if Future.try_fulfil (Opbuf.pop_back h.push_futs) () then
-      Some (Future.of_value (Some x))
+    ignore (Opbuf.pop_back h.push_futs : unit Future.t);
+    if won then Some (Future.of_value (Some x))
     else
       (* Cancelled push: its value was withdrawn, not transferred. *)
       eliminate_pop h
@@ -190,15 +205,13 @@ let rec eliminate_pop h =
   else None
 
 let window_push h x =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush h);
+  let f = Future.create_with ~evaluator:h.eval in
   Opbuf.push h.push_vals x;
   Opbuf.push h.push_futs f;
   f
 
 let window_pop h =
-  let f = Future.create () in
-  Future.set_evaluator f (fun () -> flush h);
+  let f = Future.create_with ~evaluator:h.eval in
   Opbuf.push h.pops f;
   f
 

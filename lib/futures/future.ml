@@ -9,8 +9,9 @@ type 'a state =
 type 'a t = {
   state : 'a state Atomic.t;
   (* Owner-private: written at creation / by set_evaluator, read by force,
-     all on the owner thread, so no atomicity is needed. *)
-  mutable evaluator : (unit -> unit) option;
+     all on the owner thread, so no atomicity is needed. [no_evaluator]
+     (by physical equality) means none is installed. *)
+  mutable evaluator : 'a t -> unit;
   (* Obs birth stamp (monotonic ns); 0 = created while obs was off, so
      terminal transitions never report a garbage pendingness. *)
   born : int;
@@ -24,18 +25,24 @@ exception Broken of exn
 exception Orphaned
 exception Rejected
 
-let create () =
-  { state = Atomic.make Pending; evaluator = None; born = Obs.future_created () }
+(* A closed toplevel function is one static value, so [==] against it
+   tells "no evaluator" apart from every installed one. *)
+let no_evaluator (_ : 'a t) = ()
+let has_evaluator t = t.evaluator != no_evaluator
 
 let create_with ~evaluator =
+  { state = Atomic.make Pending; evaluator; born = Obs.future_created () }
+
+let create () =
   {
     state = Atomic.make Pending;
-    evaluator = Some evaluator;
+    evaluator = no_evaluator;
     born = Obs.future_created ();
   }
 
 (* Born fulfilled: no pending window, so nothing to observe. *)
-let of_value v = { state = Atomic.make (Ready v); evaluator = None; born = 0 }
+let of_value v =
+  { state = Atomic.make (Ready v); evaluator = no_evaluator; born = 0 }
 
 let try_fulfil t v =
   Faults.point "future.fulfil";
@@ -64,7 +71,11 @@ let reject t =
   won
 
 let rejected () =
-  { state = Atomic.make (Terminated Rejected); evaluator = None; born = 0 }
+  {
+    state = Atomic.make (Terminated Rejected);
+    evaluator = no_evaluator;
+    born = 0;
+  }
 
 let is_ready t =
   match Atomic.get t.state with Ready _ -> true | Pending | Terminated _ -> false
@@ -90,7 +101,7 @@ let is_rejected t =
 let peek t =
   match Atomic.get t.state with Ready v -> Some v | Pending | Terminated _ -> None
 
-let set_evaluator t f = t.evaluator <- Some f
+let set_evaluator t f = t.evaluator <- (fun _ -> f ())
 
 (* How many backoff rounds [force] waits for an evaluator-less future
    before concluding nobody will ever fulfil it. [await] has no such bound:
@@ -148,27 +159,27 @@ and force_body t =
   match Atomic.get t.state with
   | Ready v -> v
   | Terminated e -> raise e
-  | Pending -> (
-      match t.evaluator with
-      | Some eval -> (
-          eval ();
+  | Pending ->
+      if has_evaluator t then begin
+        t.evaluator t;
+        match Atomic.get t.state with
+        | Ready v -> v
+        | Terminated e -> raise e
+        | Pending -> raise Stuck
+      end
+      else
+        (* No evaluator: give concurrent fulfillers a bounded chance. *)
+        let b = Sync.Backoff.create () in
+        let rec wait rounds =
           match Atomic.get t.state with
           | Ready v -> v
           | Terminated e -> raise e
-          | Pending -> raise Stuck)
-      | None ->
-          (* No evaluator: give concurrent fulfillers a bounded chance. *)
-          let b = Sync.Backoff.create () in
-          let rec wait rounds =
-            match Atomic.get t.state with
-            | Ready v -> v
-            | Terminated e -> raise e
-            | Pending ->
-                if rounds = 0 then raise Stuck;
-                Sync.Backoff.once b;
-                wait (rounds - 1)
-          in
-          wait stuck_rounds)
+          | Pending ->
+              if rounds = 0 then raise Stuck;
+              Sync.Backoff.once b;
+              wait (rounds - 1)
+        in
+        wait stuck_rounds
 
 let rec force_until t ~deadline =
   Faults.point "future.force";
@@ -185,30 +196,30 @@ and force_until_body t ~deadline =
   match Atomic.get t.state with
   | Ready v -> v
   | Terminated e -> raise e
-  | Pending -> (
-      match t.evaluator with
-      | Some eval -> (
-          (* The evaluator is the owner's own code: run it to completion
-             (aborting it midway could leave the structure's pending
-             lists half-applied); the deadline bounds only the wait on
-             other threads. *)
-          eval ();
+  | Pending ->
+      if has_evaluator t then begin
+        (* The evaluator is the owner's own code: run it to completion
+           (aborting it midway could leave the structure's pending
+           lists half-applied); the deadline bounds only the wait on
+           other threads. *)
+        t.evaluator t;
+        match Atomic.get t.state with
+        | Ready v -> v
+        | Terminated e -> raise e
+        | Pending -> raise Stuck
+      end
+      else
+        let b = Sync.Backoff.create () in
+        let rec wait () =
           match Atomic.get t.state with
           | Ready v -> v
           | Terminated e -> raise e
-          | Pending -> raise Stuck)
-      | None ->
-          let b = Sync.Backoff.create () in
-          let rec wait () =
-            match Atomic.get t.state with
-            | Ready v -> v
-            | Terminated e -> raise e
-            | Pending ->
-                if Sync.Mono.now () >= deadline then raise Timeout;
-                Sync.Backoff.once b;
-                wait ()
-          in
-          wait ())
+          | Pending ->
+              if Sync.Mono.now () >= deadline then raise Timeout;
+              Sync.Backoff.once b;
+              wait ()
+        in
+        wait ()
 
 (* A derived future inherits its parent's terminal state: forcing it
    raises the parent's [Cancelled]/[Broken] rather than [Stuck], and the
@@ -221,18 +232,15 @@ let terminate t e =
     | _ -> Obs.future_cancelled ~born:t.born
 
 let map f fut =
-  let t = create () in
-  set_evaluator t (fun () ->
+  create_with ~evaluator:(fun t ->
       match force fut with
       | v -> fulfil t (f v)
       | exception ((Cancelled | Broken _ | Rejected) as e) ->
           terminate t e;
-          raise e);
-  t
+          raise e)
 
 let both a b =
-  let t = create () in
-  set_evaluator t (fun () ->
+  create_with ~evaluator:(fun t ->
       match
         let va = force a in
         let vb = force b in
@@ -241,18 +249,15 @@ let both a b =
       | pair -> fulfil t pair
       | exception ((Cancelled | Broken _ | Rejected) as e) ->
           terminate t e;
-          raise e);
-  t
+          raise e)
 
 let all fs =
-  let t = create () in
-  set_evaluator t (fun () ->
+  create_with ~evaluator:(fun t ->
       match List.map force fs with
       | vs -> fulfil t vs
       | exception ((Cancelled | Broken _ | Rejected) as e) ->
           terminate t e;
-          raise e);
-  t
+          raise e)
 
 (* ------------------------ bounded resubmission ----------------------- *)
 

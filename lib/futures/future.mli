@@ -37,10 +37,23 @@ type 'a t
 val create : unit -> 'a t
 (** A pending future with no evaluator ([force] on it spin-waits). *)
 
-val create_with : evaluator:(unit -> unit) -> 'a t
-(** A pending future whose [force] runs [evaluator] to make the result
-    ready. The evaluator must cause [fulfil] (directly or transitively);
-    [force] verifies this and raises [Stuck] otherwise. *)
+val create_with : evaluator:('a t -> unit) -> 'a t
+(** [create_with ~evaluator] is a pending future whose [force] calls
+    [evaluator] with the future being forced.
+
+    {b Evaluator contract.} An evaluator runs on the owner thread, only
+    from a [force] (or [force_until]) that found the future pending, and
+    to completion: no deadline aborts it. On return the future must be
+    terminal — fulfilled by the evaluator or by anyone else, or cancelled
+    or poisoned — or the force raises [Stuck]. Exceptions it raises
+    propagate out of the force unchanged. It may issue further operations
+    on the owner's structures, and may fulfil other futures too.
+
+    Because the future is passed in, one evaluator value can serve every
+    future a handle creates: an FL handle builds its evaluator once, and
+    an op costs no closure. An evaluator that stops early — the
+    medium-FL "flush until this future is ready" — tests the argument it
+    was given rather than a future it captured. *)
 
 val of_value : 'a -> 'a t
 (** An already-fulfilled future — used for operations that are eliminated
@@ -157,7 +170,10 @@ val await_for : 'a t -> seconds:float -> 'a
     @raise Timeout if no thread fulfils the future within [seconds]. *)
 
 val set_evaluator : 'a t -> (unit -> unit) -> unit
-(** Install or replace the evaluator. Owner thread only. *)
+(** Install or replace the evaluator (see {!create_with} for the
+    contract). Owner thread only. Wraps [f] in a fresh closure: per-op
+    callers on a hot path should prefer one shared {!create_with}
+    evaluator. *)
 
 val retry : ?attempts:int -> (unit -> 'a t) -> 'a t
 (** [retry ~attempts f] is the bounded-resubmission path for [Rejected]

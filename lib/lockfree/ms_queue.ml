@@ -26,27 +26,27 @@ let counted_cas t cell expected desired =
   Sync.Cas_counter.incr t.casc;
   Atomic.compare_and_set cell expected desired
 
-(* Splice the pre-linked chain [first .. last] after the current last node,
-   then swing the tail to [last]. *)
-let enqueue_chain t first last =
-  let b = Sync.Backoff.create () in
-  let rec loop () =
-    let tl = Atomic.get t.tail in
-    match Atomic.get tl.next with
-    | None ->
-        if counted_cas t tl.next None (Some first) then
-          (* Lag repair is best-effort: a failure means someone helped. *)
-          ignore (counted_cas t t.tail tl last)
-        else begin
-          Sync.Backoff.once b;
-          loop ()
-        end
-    | Some nxt ->
-        (* Tail is lagging; help swing it and retry. *)
-        ignore (counted_cas t t.tail tl nxt);
-        loop ()
-  in
-  loop ()
+(* The retry loops below are toplevel functions threading a
+   [Sync.Backoff.retry] option from [None], so an uncontended op
+   allocates only its nodes: no backoff record, no per-call closure. *)
+
+(* Splice the pre-linked chain [first .. last] after the current last
+   node ([chain] is [Some first], boxed once by the caller), then swing
+   the tail to [last]. *)
+let rec link t chain last b =
+  let tl = Atomic.get t.tail in
+  match Atomic.get tl.next with
+  | None ->
+      if counted_cas t tl.next None chain then
+        (* Lag repair is best-effort: a failure means someone helped. *)
+        ignore (counted_cas t t.tail tl last)
+      else link t chain last (Sync.Backoff.retry b)
+  | Some nxt ->
+      (* Tail is lagging; help swing it and retry. *)
+      ignore (counted_cas t t.tail tl nxt);
+      link t chain last b
+
+let enqueue_chain t first last = link t (Some first) last None
 
 let enqueue t x =
   let n = make_node (Some x) in
@@ -67,6 +67,26 @@ let enqueue_list t xs =
       in
       enqueue_chain t first last
 
+let rec dequeue_loop t b =
+  let hd = Atomic.get t.head in
+  match Atomic.get hd.next with
+  | None -> None
+  | Some nxt ->
+      (* Help a lagging tail forward so it never ends up behind the
+         head. *)
+      let tl = Atomic.get t.tail in
+      if tl == hd then ignore (counted_cas t t.tail tl nxt);
+      (* [nxt] becomes the dummy: hand out its [Some v] box as is and
+         drop the reference so the dummy does not pin the value. *)
+      let v = nxt.value in
+      if counted_cas t t.head hd nxt then begin
+        nxt.value <- None;
+        v
+      end
+      else dequeue_loop t (Sync.Backoff.retry b)
+
+let dequeue t = dequeue_loop t None
+
 (* Indexed-segment variants of [enqueue_list]/[dequeue_many] for the FL
    flush paths: the whole window is spliced from / delivered to a ring
    buffer without building an intermediate list. *)
@@ -84,87 +104,46 @@ let enqueue_seg t ~n ~get =
     enqueue_chain t first !last
   end
 
+(* The up-to-[n]-th node after the dummy, [node] being the [k]-th,
+   helping the tail forward whenever we are about to pass it. *)
+let rec seg_last t node k n =
+  if k = n then node
+  else
+    match Atomic.get node.next with
+    | None -> node
+    | Some nxt ->
+        let tl = Atomic.get t.tail in
+        if tl == node then ignore (counted_cas t t.tail tl nxt);
+        seg_last t nxt (k + 1) n
+
+(* Walk the detached chain after [node] up to [last], handing each
+   node's [Some v] box to [f] in FIFO order; returns how many. Each value
+   is dropped from its node: [last] is the new dummy and must not pin the
+   value it handed out; the others are garbage anyway. *)
+let rec deliver f node last i =
+  match Atomic.get node.next with
+  | None -> assert false
+  | Some nxt ->
+      f i nxt.value;
+      nxt.value <- None;
+      if nxt == last then i + 1 else deliver f nxt last (i + 1)
+
+let rec dequeue_seg_loop t n f b =
+  let hd = Atomic.get t.head in
+  let last = seg_last t hd 0 n in
+  if last == hd then 0
+  else if counted_cas t t.head hd last then deliver f hd last 0
+  else dequeue_seg_loop t n f (Sync.Backoff.retry b)
+
 let dequeue_seg t ~n ~f =
   if n < 0 then invalid_arg "Ms_queue.dequeue_seg: negative count";
-  if n = 0 then 0
-  else
-    let b = Sync.Backoff.create () in
-    let rec attempt () =
-      let hd = Atomic.get t.head in
-      (* Find the up-to-[n]-th node after the dummy (helping the tail
-         forward as in [dequeue_many]), CAS the head past it, then walk
-         the detached chain handing values to [f] in FIFO order. *)
-      let rec probe node count =
-        if count = n then (node, count)
-        else
-          match Atomic.get node.next with
-          | None -> (node, count)
-          | Some nxt ->
-              let tl = Atomic.get t.tail in
-              if tl == node then ignore (counted_cas t t.tail tl nxt);
-              probe nxt (count + 1)
-      in
-      let last, count = probe hd 0 in
-      if last == hd then 0
-      else if counted_cas t t.head hd last then begin
-        let rec deliver node i =
-          match Atomic.get node.next with
-          | None -> assert false
-          | Some nxt ->
-              (match nxt.value with
-              | Some v -> f i v
-              | None -> assert false);
-              (* Drop the reference: [last] is the new dummy and must not
-                 pin the value it handed out; the others are garbage
-                 anyway. *)
-              nxt.value <- None;
-              if nxt != last then deliver nxt (i + 1)
-        in
-        deliver hd 0;
-        count
-      end
-      else begin
-        Sync.Backoff.once b;
-        attempt ()
-      end
-    in
-    attempt ()
+  if n = 0 then 0 else dequeue_seg_loop t n f None
 
 let dequeue_many t n =
   if n < 0 then invalid_arg "Ms_queue.dequeue_many: negative count";
-  if n = 0 then []
-  else
-    let b = Sync.Backoff.create () in
-    let rec attempt () =
-      let hd = Atomic.get t.head in
-      (* Collect up to [n] nodes after the dummy, helping the tail forward
-         whenever we are about to pass it so it never ends up behind the
-         head. *)
-      let rec collect node count acc =
-        if count = n then (node, acc)
-        else
-          match Atomic.get node.next with
-          | None -> (node, acc)
-          | Some nxt ->
-              let tl = Atomic.get t.tail in
-              if tl == node then ignore (counted_cas t t.tail tl nxt);
-              collect nxt (count + 1) (nxt.value :: acc)
-      in
-      let last, rev_values = collect hd 0 [] in
-      if last == hd then [] (* empty *)
-      else if counted_cas t t.head hd last then begin
-        (* [last] is the new dummy; its value was just handed out. *)
-        last.value <- None;
-        List.rev_map (function Some v -> v | None -> assert false) rev_values
-      end
-      else begin
-        Sync.Backoff.once b;
-        attempt ()
-      end
-    in
-    attempt ()
-
-let dequeue t = match dequeue_many t 1 with [] -> None | [ v ] -> Some v | _ -> assert false
+  let acc = ref [] in
+  ignore (dequeue_seg t ~n ~f:(fun _ v -> acc := Option.get v :: !acc) : int);
+  List.rev !acc
 
 let peek t =
   let hd = Atomic.get t.head in

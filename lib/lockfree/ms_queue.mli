@@ -36,11 +36,13 @@ val enqueue_seg : 'a t -> n:int -> get:(int -> 'a) -> unit
     the [n] spliced nodes — the zero-copy path for ring-buffer flushes.
     Raises [Invalid_argument] if [n < 0]. *)
 
-val dequeue_seg : 'a t -> n:int -> f:(int -> 'a -> unit) -> int
+val dequeue_seg : 'a t -> n:int -> f:(int -> 'a option -> unit) -> int
 (** [dequeue_seg t ~n ~f] is [dequeue_many] without the result list: up
     to [n] elements are removed with one successful head CAS and handed
-    to [f i v] oldest-first (i = 0). Returns the count actually
-    dequeued. [f] runs after the CAS, on a detached chain.
+    to [f i (Some v)] oldest-first (i = 0). Returns the count actually
+    dequeued. [f] runs after the CAS, on a detached chain. Like
+    {!dequeue}, it hands out each node's own [Some v] box, so a caller
+    that passes the element on as an option allocates nothing.
     Raises [Invalid_argument] if [n < 0]. *)
 
 val is_empty : 'a t -> bool

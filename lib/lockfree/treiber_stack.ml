@@ -9,60 +9,46 @@ let cas t expected desired =
   Sync.Cas_counter.incr t.casc;
   Atomic.compare_and_set t.head expected desired
 
+(* The retry loops below are toplevel functions threading a
+   [Sync.Backoff.retry] option from [None], so an uncontended op
+   allocates only its nodes: no backoff record, no per-call closure. *)
+
+(* Link the private chain [top .. bottom] on top of the stack ([top] is
+   boxed once by the caller); only the bottom link is patched on each
+   retry. *)
+let rec link t top bottom b =
+  let head = Atomic.get t.head in
+  bottom.next <- head;
+  if not (cas t head top) then link t top bottom (Sync.Backoff.retry b)
+
 let push t x =
   let node = { value = x; next = None } in
-  let b = Sync.Backoff.create () in
-  let rec loop () =
-    let head = Atomic.get t.head in
-    node.next <- head;
-    if not (cas t head (Some node)) then begin
-      Sync.Backoff.once b;
-      loop ()
-    end
-  in
-  loop ()
+  link t (Some node) node None
 
-let pop t =
-  let b = Sync.Backoff.create () in
-  let rec loop () =
-    match Atomic.get t.head with
-    | None -> None
-    | Some node as head ->
-        if cas t head node.next then Some node.value
-        else begin
-          Sync.Backoff.once b;
-          loop ()
-        end
-  in
-  loop ()
+let rec pop_loop t b =
+  match Atomic.get t.head with
+  | None -> None
+  | Some node as head ->
+      if cas t head node.next then Some node.value
+      else pop_loop t (Sync.Backoff.retry b)
+
+let pop t = pop_loop t None
 
 let peek t =
   match Atomic.get t.head with None -> None | Some n -> Some n.value
 
-(* Build the chain [xn -> ... -> x1] once; only the bottom link is patched
-   on each retry. Returns (top, bottom). *)
-let chain_of_list xs =
-  match xs with
-  | [] -> None
-  | x1 :: rest ->
-      let bottom = { value = x1; next = None } in
-      let top = List.fold_left (fun below x -> { value = x; next = Some below }) bottom rest in
-      Some (top, bottom)
-
 let push_list t xs =
-  match chain_of_list xs with
-  | None -> ()
-  | Some (top, bottom) ->
-      let b = Sync.Backoff.create () in
-      let rec loop () =
-        let head = Atomic.get t.head in
-        bottom.next <- head;
-        if not (cas t head (Some top)) then begin
-          Sync.Backoff.once b;
-          loop ()
-        end
+  match xs with
+  | [] -> ()
+  | x1 :: rest ->
+      (* Build the chain [xn -> ... -> x1] once. *)
+      let bottom = { value = x1; next = None } in
+      let top =
+        List.fold_left
+          (fun below x -> { value = x; next = Some below })
+          bottom rest
       in
-      loop ()
+      link t (Some top) bottom None
 
 (* Indexed-segment variants of [push_list]/[pop_many]: the FL flush
    paths feed them straight from a ring buffer, so a whole pending
@@ -71,90 +57,50 @@ let push_list t xs =
 let push_seg t ~n ~get =
   if n < 0 then invalid_arg "Treiber_stack.push_seg: negative count";
   if n > 0 then begin
-    (* Index 0 is pushed deepest (the oldest pending push); only the
-       bottom link is patched on each retry. *)
+    (* Index 0 is pushed deepest (the oldest pending push). *)
     let bottom = { value = get 0; next = None } in
     let top = ref bottom in
     for i = 1 to n - 1 do
       top := { value = get i; next = Some !top }
     done;
-    let top = !top in
-    let b = Sync.Backoff.create () in
-    let rec loop () =
-      let head = Atomic.get t.head in
-      bottom.next <- head;
-      if not (cas t head (Some top)) then begin
-        Sync.Backoff.once b;
-        loop ()
-      end
-    in
-    loop ()
+    link t (Some !top) bottom None
   end
+
+(* The [n]-th node from [node] (which is the [k]-th), or the bottom one
+   when the stack is shorter. *)
+let rec seg_last node k n =
+  if k = n then node
+  else match node.next with None -> node | Some nxt -> seg_last nxt (k + 1) n
+
+(* Hand out the values of the detached chain [node .. last] with [f i v],
+   i = 0 for the value that was on top; returns how many. *)
+let rec deliver f node last i =
+  f i node.value;
+  if node == last then i + 1
+  else
+    match node.next with
+    | Some nxt -> deliver f nxt last (i + 1)
+    | None -> assert false
+
+let rec pop_seg_loop t n f b =
+  match Atomic.get t.head with
+  | None -> 0
+  | Some first as head ->
+      (* Find the split point, detach with one CAS, then deliver from
+         the now-private chain. *)
+      let last = seg_last first 1 n in
+      if cas t head last.next then deliver f first last 0
+      else pop_seg_loop t n f (Sync.Backoff.retry b)
 
 let pop_seg t ~n ~f =
   if n < 0 then invalid_arg "Treiber_stack.pop_seg: negative count";
-  if n = 0 then 0
-  else
-    let b = Sync.Backoff.create () in
-    let rec loop () =
-      match Atomic.get t.head with
-      | None -> 0
-      | Some first as head ->
-          (* Find the split point, detach with one CAS, then hand out the
-             values of the now-private chain: [f i v] with i = 0 for the
-             value that was on top. *)
-          let rec walk node k =
-            if k = n then (k, node.next)
-            else
-              match node.next with
-              | None -> (k, None)
-              | Some nxt -> walk nxt (k + 1)
-          in
-          let k, rest = walk first 1 in
-          if cas t head rest then begin
-            let rec deliver node i =
-              f i node.value;
-              if i + 1 < k then
-                match node.next with
-                | Some nxt -> deliver nxt (i + 1)
-                | None -> assert false
-            in
-            deliver first 0;
-            k
-          end
-          else begin
-            Sync.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  if n = 0 then 0 else pop_seg_loop t n f None
 
 let pop_many t n =
   if n < 0 then invalid_arg "Treiber_stack.pop_many: negative count";
-  if n = 0 then []
-  else
-    let b = Sync.Backoff.create () in
-    let rec loop () =
-      match Atomic.get t.head with
-      | None -> []
-      | Some first as head ->
-          (* Walk up to [n] nodes to find the remainder, collecting values
-             top-first. *)
-          let rec walk node k acc =
-            if k = n then (acc, node.next)
-            else
-              match node.next with
-              | None -> (acc, None)
-              | Some nxt -> walk nxt (k + 1) (nxt.value :: acc)
-          in
-          let rev_values, rest = walk first 1 [ first.value ] in
-          if cas t head rest then List.rev rev_values
-          else begin
-            Sync.Backoff.once b;
-            loop ()
-          end
-    in
-    loop ()
+  let acc = ref [] in
+  ignore (pop_seg t ~n ~f:(fun _ v -> acc := v :: !acc) : int);
+  List.rev !acc
 
 let is_empty t = Atomic.get t.head = None
 

@@ -57,6 +57,17 @@ let once t =
   end;
   if t.window < t.max_wait then t.window <- min t.max_wait (t.window * 2)
 
+(* The backoff of a CAS retry loop, made on the loop's first failure: an
+   attempt that succeeds at once allocates none. *)
+let retry = function
+  | Some b as o ->
+      once b;
+      o
+  | None ->
+      let b = create () in
+      once b;
+      Some b
+
 let reset t =
   t.window <- t.min_wait;
   t.rounds <- 0

@@ -28,6 +28,13 @@ val create : ?min_wait:int -> ?max_wait:int -> ?budget:int -> unit -> t
 val once : t -> unit
 (** Spin (and possibly yield) once, then widen the window. *)
 
+val retry : t option -> t option
+(** [retry b] backs off once after a failed attempt and returns the
+    backoff for the next failure. [None] stands for "no attempt has
+    failed yet": the backoff is created (with the defaults) on the first
+    failure. A retry loop threads it from [None], so an operation whose
+    first CAS succeeds allocates no backoff. *)
+
 val reset : t -> unit
 (** Shrink the window back to [min_wait] and start a new streak
     (zeroing {!rounds}); call after a successful CAS or any observed

@@ -260,11 +260,12 @@ let test_weak_stack_exchange () =
     Domain.spawn (fun () ->
         (* Pops on an empty shared stack: without exchange these all
            observe None; with a concurrent producer flushing, some are
-           fed. Loop until one is. *)
+           fed. Loop until one is. The bound is wall-clock, not a try
+           count: a descheduled producer may not flush at all while a
+           fixed number of tries passes. *)
+        let deadline = Sync.Mono.now () +. 30.0 in
         let fed = ref None in
-        let tries = ref 0 in
-        while !fed = None && !tries < 200 do
-          incr tries;
+        while !fed = None && Sync.Mono.now () < deadline do
           let fs = List.init 8 (fun _ -> Fl.Weak_stack.pop ha) in
           Fl.Weak_stack.flush ha;
           List.iter

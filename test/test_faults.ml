@@ -424,14 +424,14 @@ let orphan_ops = 5
    watchdog (or the post-join sweep) must poison exactly those futures,
    the window must be discarded un-spliced, and the structure must come
    out clean. *)
-let run_orphan ~label ~handle_ops ~contents ~drain seed =
-  let victim_futs = Array.make orphan_ops None in
+let run_orphan ?(count = orphan_ops) ~label ~handle_ops ~contents ~drain seed =
+  let victim_futs = Array.make count None in
   Faults.on "lifecycle.victim" (fun _ -> Faults.Kill);
   let worker () ~thread ~ops =
     let issue, force_tail, abandon = handle_ops () in
     Workload.Runner.set_abandon_hook abandon;
     if thread = 0 then begin
-      for j = 0 to orphan_ops - 1 do
+      for j = 0 to count - 1 do
         victim_futs.(j) <- Some (issue (tag 0 j))
       done;
       Faults.point "lifecycle.victim";
@@ -464,10 +464,10 @@ let run_orphan ~label ~handle_ops ~contents ~drain seed =
   Alcotest.(check bool) (label ^ ": runner recovered the dead worker") true
     (m.Workload.Runner.recovered >= 1);
   Alcotest.(check bool)
-    (Printf.sprintf "%s: all %d orphans poisoned (got %d)" label orphan_ops
+    (Printf.sprintf "%s: all %d orphans poisoned (got %d)" label count
        m.Workload.Runner.poisoned)
     true
-    (m.Workload.Runner.poisoned >= orphan_ops);
+    (m.Workload.Runner.poisoned >= count);
   (* Every future the victim left behind raises [Broken Orphaned] —
      immediately, not after a timeout. *)
   Array.iteri
@@ -496,10 +496,10 @@ let run_orphan ~label ~handle_ops ~contents ~drain seed =
         Alcotest.failf "%s: dead worker's value %d was applied" label v)
     cs
 
-let test_orphan_stack name seed () =
+let test_orphan_stack ?count name seed () =
   let impl = R.find_stack name in
   let inst = impl.R.s_make () in
-  run_orphan
+  run_orphan ?count
     ~label:(Printf.sprintf "%s stack/%d" name seed)
     ~handle_ops:(fun () ->
       let o = inst.R.s_handle () in
@@ -509,10 +509,10 @@ let test_orphan_stack name seed () =
   Alcotest.(check int) "conformance clean after orphan recovery" 0
     outcome.Conformance.violations
 
-let test_orphan_queue name seed () =
+let test_orphan_queue ?count name seed () =
   let impl = R.find_queue name in
   let inst = impl.R.q_make () in
-  run_orphan
+  run_orphan ?count
     ~label:(Printf.sprintf "%s queue/%d" name seed)
     ~handle_ops:(fun () ->
       let o = inst.R.q_handle () in
@@ -534,6 +534,60 @@ let test_orphan_set name seed () =
     ~contents:inst.R.l_contents ~drain:inst.R.l_drain seed;
   let outcome = Conformance.check_set ~rounds:2 (R.find_set name) in
   Alcotest.(check int) "conformance clean after orphan recovery" 0
+    outcome.Conformance.violations
+
+(* A one-op window — every window at slack 1 — is applied with one
+   CAS, and its op leaves the handle's windows only once its future is
+   terminal (DESIGN.md §7). A kill at [future.fulfil], after that CAS,
+   must leave the op for [abandon] to poison with [Broken Orphaned], and
+   its value applied exactly once: a later flush of the dead handle
+   applies nothing. *)
+let kill_at_fulfil ~label ~issue ~flush ~abandon =
+  let f = issue () in
+  Faults.on "future.fulfil" (fun _ -> Faults.Kill);
+  (match Future.force f with
+  | _ -> Alcotest.failf "%s: the op survived its kill" label
+  | exception Faults.Killed _ -> ());
+  Faults.clear "future.fulfil";
+  Alcotest.(check int) (label ^ ": abandon poisons the one op") 1 (abandon ());
+  Alcotest.check_raises (label ^ ": it raises Broken Orphaned")
+    (Future.Broken Future.Orphaned) (fun () -> ignore (Future.force f));
+  flush ()
+
+let test_one_op_kill_stack name () =
+  let inst = (R.find_stack name).R.s_make () in
+  let v = tag 0 1 in
+  let o = inst.R.s_handle () in
+  kill_at_fulfil ~label:(name ^ " stack push")
+    ~issue:(fun () -> o.R.s_push v)
+    ~flush:o.R.s_flush ~abandon:o.R.s_abandon;
+  Alcotest.(check (list int)) "the push was applied once" [ v ]
+    (inst.R.s_contents ());
+  let o = inst.R.s_handle () in
+  kill_at_fulfil ~label:(name ^ " stack pop") ~issue:o.R.s_pop
+    ~flush:o.R.s_flush ~abandon:o.R.s_abandon;
+  Alcotest.(check (list int)) "the pop was applied once" []
+    (inst.R.s_contents ());
+  let outcome = Conformance.check_stack ~rounds:2 (R.find_stack name) in
+  Alcotest.(check int) "conformance clean after one-op kills" 0
+    outcome.Conformance.violations
+
+let test_one_op_kill_queue name () =
+  let inst = (R.find_queue name).R.q_make () in
+  let v = tag 0 1 in
+  let o = inst.R.q_handle () in
+  kill_at_fulfil ~label:(name ^ " queue enqueue")
+    ~issue:(fun () -> o.R.q_enq v)
+    ~flush:o.R.q_flush ~abandon:o.R.q_abandon;
+  Alcotest.(check (list int)) "the enqueue was applied once" [ v ]
+    (inst.R.q_contents ());
+  let o = inst.R.q_handle () in
+  kill_at_fulfil ~label:(name ^ " queue dequeue") ~issue:o.R.q_deq
+    ~flush:o.R.q_flush ~abandon:o.R.q_abandon;
+  Alcotest.(check (list int)) "the dequeue was applied once" []
+    (inst.R.q_contents ());
+  let outcome = Conformance.check_queue ~rounds:2 (R.find_queue name) in
+  Alcotest.(check int) "conformance clean after one-op kills" 0
     outcome.Conformance.violations
 
 (* A waiter blocked in an {e unbounded} [await] on the victim's future
@@ -819,6 +873,24 @@ let () =
             (with_clean_faults (test_orphan_set "medium" 57));
           Alcotest.test_case "txn set orphan, schedule 58" `Slow
             (with_clean_faults (test_orphan_set "txn" 58));
+          Alcotest.test_case "weak stack one-op orphan, schedule 61" `Slow
+            (with_clean_faults (test_orphan_stack ~count:1 "weak" 61));
+          Alcotest.test_case "medium stack one-op orphan, schedule 62" `Slow
+            (with_clean_faults (test_orphan_stack ~count:1 "medium" 62));
+          Alcotest.test_case "weak queue one-op orphan, schedule 63" `Slow
+            (with_clean_faults (test_orphan_queue ~count:1 "weak" 63));
+          Alcotest.test_case "medium queue one-op orphan, schedule 64" `Slow
+            (with_clean_faults (test_orphan_queue ~count:1 "medium" 64));
+          Alcotest.test_case "weak stack kill at fulfil, one-op window" `Quick
+            (with_clean_faults (test_one_op_kill_stack "weak"));
+          Alcotest.test_case "medium stack kill at fulfil, one-op window"
+            `Quick
+            (with_clean_faults (test_one_op_kill_stack "medium"));
+          Alcotest.test_case "weak queue kill at fulfil, one-op window" `Quick
+            (with_clean_faults (test_one_op_kill_queue "weak"));
+          Alcotest.test_case "medium queue kill at fulfil, one-op window"
+            `Quick
+            (with_clean_faults (test_one_op_kill_queue "medium"));
           Alcotest.test_case "await released by watchdog" `Slow
             (with_clean_faults test_await_released_by_watchdog);
           Alcotest.test_case "runner plan uninstalled after kills" `Quick

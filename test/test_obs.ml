@@ -332,7 +332,7 @@ let test_lifecycle_roundtrip () =
   (* …but a force that finds the future unresolved is. *)
   let knot = ref None in
   let f4 : int Futures.Future.t =
-    Futures.Future.create_with ~evaluator:(fun () ->
+    Futures.Future.create_with ~evaluator:(fun _ ->
         match !knot with
         | Some f -> ignore (Futures.Future.try_fulfil f 42 : bool)
         | None -> ())

@@ -1,9 +1,11 @@
 (* Tests for the preallocated ring buffer behind the FL pending windows:
    model-based qcheck properties exercising wraparound and growth, unit
-   tests for the window operations, an allocation-budget check on the
-   weak-stack flush path, and the Slack drain reentrancy regression. *)
+   tests for the window operations, allocation-budget checks on the
+   weak-stack flush path and the slack-1 op path, and the Slack drain
+   reentrancy and raising-thunk regressions. *)
 
 module B = Fl.Opbuf
+module R = Fl.Registry
 
 (* ------------------------- unit: basics ----------------------------- *)
 
@@ -64,13 +66,10 @@ let test_iter_orders () =
   for i = 1 to 6 do
     B.push b i
   done;
-  let fwd = ref [] and bwd = ref [] in
+  let fwd = ref [] in
   B.iter (fun x -> fwd := x :: !fwd) b;
-  B.rev_iter (fun x -> bwd := x :: !bwd) b;
   Alcotest.(check (list int)) "iter oldest first" [ 1; 2; 3; 4; 5; 6 ]
-    (List.rev !fwd);
-  Alcotest.(check (list int)) "rev_iter newest first" [ 6; 5; 4; 3; 2; 1 ]
-    (List.rev !bwd)
+    (List.rev !fwd)
 
 let test_truncate_swap () =
   let a = B.create () and b = B.create () in
@@ -344,6 +343,54 @@ let test_alloc_budget () =
     (Printf.sprintf "pop+flush %.1f words/op within budget" pop_words)
     true (pop_words <= 19.0)
 
+(* ---------------- allocation budget: the slack-1 op path ---------------- *)
+
+(* At slack 1 every op pays the whole per-op path on its own: the
+   Registry closure, a future carrying its handle's shared evaluator, a
+   one-op window applied with one CAS, and the Slack drain. Ops are
+   issued one at a time through Fl.Registry and forced by
+   Fl.Slack.create 1, a push (enqueue) then a pop (dequeue). Budget: 24
+   words/op, counting the caller's force thunk (now 16-20; closures per
+   op and per flush, a Fun.protect per drain and a backoff record per
+   lock-free call cost about 60). Skipped under FLDS_FAULTS: armed
+   injection points allocate on the paths being budgeted. *)
+let test_slack1_budget () =
+  if Faults.enabled () then Alcotest.skip ();
+  let warm = 100 and iters = 2000 in
+  let run label ~add ~remove =
+    let sl = Fl.Slack.create 1 in
+    let got = ref 0 in
+    let pair () =
+      let f = add 7 in
+      Fl.Slack.note sl (fun () -> Futures.Future.force f);
+      let g = remove () in
+      Fl.Slack.note sl (fun () ->
+          match Futures.Future.force g with Some 7 -> incr got | _ -> ())
+    in
+    for _ = 1 to warm do
+      pair ()
+    done;
+    Gc.full_major ();
+    let before = Gc.minor_words () in
+    for _ = 1 to iters do
+      pair ()
+    done;
+    let per_op = (Gc.minor_words () -. before) /. float_of_int (2 * iters) in
+    Alcotest.(check int)
+      (label ^ ": every removal got its add")
+      (warm + iters) !got;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.1f words/op within budget" label per_op)
+      true (per_op <= 24.0)
+  in
+  List.iter
+    (fun name ->
+      let s = ((R.find_stack name).R.s_make ()).R.s_handle () in
+      run (name ^ " stack") ~add:s.R.s_push ~remove:s.R.s_pop;
+      let q = ((R.find_queue name).R.q_make ()).R.q_handle () in
+      run (name ^ " queue") ~add:q.R.q_enq ~remove:q.R.q_deq)
+    [ "weak"; "medium" ]
+
 (* ---------------- Slack drain reentrancy regression ------------------ *)
 
 (* A force thunk that reentrantly notes follow-up work must not corrupt
@@ -377,6 +424,55 @@ let test_slack_reentrant_note () =
     [ 10; 110 ] (List.sort compare !fired);
   Alcotest.(check int) "empty again" 0 (Fl.Slack.pending sl)
 
+exception Boom
+
+(* A force thunk that raises must leave the window consistent: the
+   thunks that ran (the raiser included) are dropped, the un-run ones go
+   back to the front of the window in their order, ahead of anything
+   noted reentrantly, the drain can run again, and the exception
+   propagates. *)
+let test_slack_raising_thunk () =
+  let ran = ref [] in
+  let thunk id () =
+    ran := id :: !ran;
+    if id = 1 then raise Boom
+  in
+  (* Newest first: thunk 2 runs, thunk 1 raises, thunk 0 is left. *)
+  let sl = Fl.Slack.create 3 in
+  Fl.Slack.note sl (thunk 0);
+  Fl.Slack.note sl (thunk 1);
+  Alcotest.check_raises "the filling note drains and re-raises" Boom
+    (fun () -> Fl.Slack.note sl (thunk 2));
+  Alcotest.(check (list int)) "ran newest first up to the raiser" [ 2; 1 ]
+    (List.rev !ran);
+  Alcotest.(check int) "the un-run thunk stays pending" 1
+    (Fl.Slack.pending sl);
+  ran := [];
+  Fl.Slack.drain sl;
+  Alcotest.(check (list int)) "the next drain runs only the un-run thunk"
+    [ 0 ] (List.rev !ran);
+  Alcotest.(check int) "window empty" 0 (Fl.Slack.pending sl);
+  (* Oldest first, the raiser noting a follow-up before it raises. *)
+  let sl = Fl.Slack.create ~order:Fl.Slack.Oldest_first 8 in
+  ran := [];
+  let raiser () =
+    ran := 1 :: !ran;
+    Fl.Slack.note sl (thunk 9);
+    raise Boom
+  in
+  List.iter (Fl.Slack.note sl) [ thunk 0; raiser; thunk 2; thunk 3 ];
+  Alcotest.check_raises "drain re-raises" Boom (fun () -> Fl.Slack.drain sl);
+  Alcotest.(check (list int)) "ran oldest first up to the raiser" [ 0; 1 ]
+    (List.rev !ran);
+  Alcotest.(check int) "un-run and follow-up thunks pending" 3
+    (Fl.Slack.pending sl);
+  ran := [];
+  Fl.Slack.drain sl;
+  Alcotest.(check (list int))
+    "un-run thunks first, in order, then the follow-up" [ 2; 3; 9 ]
+    (List.rev !ran);
+  Alcotest.(check int) "window empty again" 0 (Fl.Slack.pending sl)
+
 let qsuite tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -404,10 +500,15 @@ let () =
         ]
         @ qsuite [ prop_parallel_rings_aligned ] );
       ( "allocation",
-        [ Alcotest.test_case "weak-stack flush budget" `Quick test_alloc_budget ] );
+        [
+          Alcotest.test_case "weak-stack flush budget" `Quick test_alloc_budget;
+          Alcotest.test_case "slack-1 op budget" `Quick test_slack1_budget;
+        ] );
       ( "slack",
         [
           Alcotest.test_case "reentrant note during drain" `Quick
             test_slack_reentrant_note;
+          Alcotest.test_case "raising thunk during drain" `Quick
+            test_slack_raising_thunk;
         ] );
     ]
