@@ -102,14 +102,17 @@ let record ~bench ~impl ~slack ~domains fields =
       :: !json_records
   end
 
+(* A measurement without a CAS counter (the weak-map cells) reports
+   [cas_per_op] as nan: the field is omitted rather than written null. *)
 let record_measurement ~bench ~impl ~slack (m : Workload.Runner.measurement) =
+  let cas = m.Workload.Runner.cas_per_op in
   record ~bench ~impl ~slack ~domains:m.Workload.Runner.threads
-    [
-      ("seconds", m.Workload.Runner.seconds);
-      ("ops_per_s", m.Workload.Runner.throughput);
-      ("cas_per_op", m.Workload.Runner.cas_per_op);
-      ("minor_words_per_op", m.Workload.Runner.minor_words_per_op);
-    ]
+    ([
+       ("seconds", m.Workload.Runner.seconds);
+       ("ops_per_s", m.Workload.Runner.throughput);
+     ]
+    @ (if Float.is_nan cas then [] else [ ("cas_per_op", cas) ])
+    @ [ ("minor_words_per_op", m.Workload.Runner.minor_words_per_op) ])
 
 let git_rev () =
   try

@@ -76,13 +76,10 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     h
 
   let abandon h =
-    let n = ref 0 in
-    List.iter
-      (fun op -> if Future.poison op.future Future.Orphaned then incr n)
-      h.ops;
+    let n = List.fold_left (fun n op -> n + Opbuf.orphan op.future) 0 h.ops in
     h.ops <- [];
     h.n_ops <- 0;
-    !n
+    n
 
   let add h key kind =
     let future = Future.create_with ~evaluator:h.eval in

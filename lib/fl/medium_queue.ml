@@ -34,20 +34,6 @@ let op_pending = function
   | Enq (_, f) -> Future.is_pending f
   | Deq f -> Future.is_pending f
 
-(* Tombstone cancelled ops and compact, so the prefix runs below only
-   ever see live operations. Cancellation is owner-only, so no new
-   tombstones can appear while a flush is in progress. *)
-let withdraw_cancelled h =
-  let len = Opbuf.length h.ops in
-  let any = ref false in
-  for i = 0 to len - 1 do
-    if not (op_pending (Opbuf.get h.ops i)) then begin
-      Opbuf.delete h.ops i;
-      any := true
-    end
-  done;
-  if !any then ignore (Opbuf.compact h.ops : int)
-
 (* Apply maximal prefix runs of same-type operations until [stop] — the
    future being forced, checked between runs — is ready, or the window
    is exhausted. Each run is spliced straight out of the ring — one
@@ -78,8 +64,11 @@ let rec flush_runs h stop =
     flush_runs h stop
   end
 
+(* Withdraw cancelled ops first, so the prefix runs only ever see
+   pending ones. Cancellation is owner-only, so none can be cancelled
+   while a flush is in progress. *)
 let flush_until h stop =
-  withdraw_cancelled h;
+  ignore (Opbuf.compact op_pending h.ops : int);
   flush_runs h stop
 
 (* Terminal, so never ready: flushing until it empties the window. *)
@@ -100,14 +89,9 @@ let handle owner =
   h
 
 let abandon h =
-  let n = ref 0 in
-  let poison : type x. x Future.t -> unit =
-   fun f -> if Future.poison f Future.Orphaned then incr n
-  in
-  let op_poison = function Enq (_, f) -> poison f | Deq f -> poison f in
-  Opbuf.iter op_poison h.ops;
-  Opbuf.clear h.ops;
-  !n
+  Opbuf.(
+    abandon
+      [ Ring (h.ops, function Enq (_, f) -> orphan f | Deq f -> orphan f) ])
 
 let enqueue h x =
   let f = Future.create_with ~evaluator:h.eval in

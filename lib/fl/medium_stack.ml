@@ -50,25 +50,23 @@ let op_pending = function
    younger than it, so all shared pops precede all surviving pushes in
    invocation order. One combined pop and one combined push suffice. *)
 let flush h =
-  let n = Opbuf.length h.ops in
-  if n > 0 then begin
+  if not (Opbuf.is_empty h.ops) then begin
     Opbuf.swap h.ops h.work;
+    (* Withdraw cancelled ops: a withdrawn push contributes no value and a
+       withdrawn pop consumes none. *)
+    let n = Opbuf.compact op_pending h.work in
     for i = 0 to n - 1 do
-      let op = Opbuf.get h.work i in
-      (* A cancelled op is a no-op: a withdrawn push contributes no value
-         and a withdrawn pop consumes none. *)
-      if op_pending op then
-        match op with
-        | Push (v, f) ->
-            Opbuf.push h.buf_vals v;
-            Opbuf.push h.buf_futs f
-        | Pop f ->
-            if Opbuf.length h.buf_vals > 0 then begin
-              let v = Opbuf.pop_back h.buf_vals in
-              Future.fulfil (Opbuf.pop_back h.buf_futs) ();
-              Future.fulfil f (Some v)
-            end
-            else Opbuf.push h.shared_pops f
+      match Opbuf.get h.work i with
+      | Push (v, f) ->
+          Opbuf.push h.buf_vals v;
+          Opbuf.push h.buf_futs f
+      | Pop f ->
+          if Opbuf.length h.buf_vals > 0 then begin
+            let v = Opbuf.pop_back h.buf_vals in
+            Future.fulfil (Opbuf.pop_back h.buf_futs) ();
+            Future.fulfil f (Some v)
+          end
+          else Opbuf.push h.shared_pops f
     done;
     Opbuf.clear h.work;
     let np = Opbuf.length h.shared_pops in
@@ -111,21 +109,16 @@ let handle owner =
   h
 
 let abandon h =
-  let n = ref 0 in
-  let poison : type x. x Future.t -> unit =
-   fun f -> if Future.poison f Future.Orphaned then incr n
-  in
-  let op_poison = function Push (_, f) -> poison f | Pop f -> poison f in
-  Opbuf.iter op_poison h.ops;
-  Opbuf.iter op_poison h.work;
-  Opbuf.iter poison h.buf_futs;
-  Opbuf.iter poison h.shared_pops;
-  Opbuf.clear h.ops;
-  Opbuf.clear h.work;
-  Opbuf.clear h.buf_vals;
-  Opbuf.clear h.buf_futs;
-  Opbuf.clear h.shared_pops;
-  !n
+  let op = function Push (_, f) -> Opbuf.orphan f | Pop f -> Opbuf.orphan f in
+  Opbuf.(
+    abandon
+      [
+        Ring (h.ops, op);
+        Ring (h.work, op);
+        Ring (h.buf_futs, orphan);
+        Ring (h.shared_pops, orphan);
+        Ring (h.buf_vals, Fun.const 0);
+      ])
 
 let push h x =
   let f = Future.create_with ~evaluator:h.eval in

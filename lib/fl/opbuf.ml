@@ -12,14 +12,6 @@ type 'a t = {
    reads/writes are representation-correct for every ['a]. *)
 let nil : 'a. 'a = Obj.magic 0
 
-(* Tombstone for cancelled ops: a unique heap block no caller value can
-   alias, recognized by physical equality. A tombstoned slot still
-   occupies its logical index (so parallel rings stay index-aligned) but
-   is skipped by iteration and removed by [compact]. *)
-let tomb : Obj.t = Obj.repr (ref (-1))
-
-let is_tomb (x : 'a) = Obj.repr x == tomb
-
 let round_pow2 n =
   let rec go c = if c >= n then c else go (c * 2) in
   go 1
@@ -53,52 +45,15 @@ let push t x =
 
 let get t i =
   if i < 0 || i >= t.len then invalid_arg "Opbuf.get: index out of range";
-  let x = t.buf.(phys t i) in
-  if is_tomb x then invalid_arg "Opbuf.get: deleted slot";
-  x
+  t.buf.(phys t i)
 
-let set t i x =
-  if i < 0 || i >= t.len then invalid_arg "Opbuf.set: index out of range";
-  t.buf.(phys t i) <- x
-
-let delete t i =
-  if i < 0 || i >= t.len then invalid_arg "Opbuf.delete: index out of range";
-  t.buf.(phys t i) <- Obj.magic tomb
-
-let deleted t i =
-  if i < 0 || i >= t.len then invalid_arg "Opbuf.deleted: index out of range";
-  is_tomb t.buf.(phys t i)
-
-let live t =
-  let n = ref 0 in
-  for i = 0 to t.len - 1 do
-    if not (is_tomb t.buf.(phys t i)) then incr n
-  done;
-  !n
-
-let compact t =
-  let k = ref 0 in
-  for i = 0 to t.len - 1 do
-    let x = t.buf.(phys t i) in
-    if not (is_tomb x) then begin
-      if !k <> i then t.buf.(phys t !k) <- x;
-      incr k
-    end
-  done;
-  for i = !k to t.len - 1 do
-    t.buf.(phys t i) <- nil
-  done;
-  t.len <- !k;
-  !k
-
-let rec pop_back t =
+let pop_back t =
   if t.len = 0 then invalid_arg "Opbuf.pop_back: empty";
   t.len <- t.len - 1;
   let j = phys t t.len in
   let x = t.buf.(j) in
   t.buf.(j) <- nil;
-  (* Tombstoned slots are not elements: discard and keep looking. *)
-  if is_tomb x then pop_back t else x
+  x
 
 let drop_front t n =
   if n < 0 || n > t.len then invalid_arg "Opbuf.drop_front: bad count";
@@ -117,6 +72,27 @@ let truncate t n =
 
 let clear t = truncate t 0
 
+let compact2 keep a b =
+  if a.len <> b.len then invalid_arg "Opbuf.compact2: lengths differ";
+  let k = ref 0 in
+  for i = 0 to b.len - 1 do
+    let y = b.buf.(phys b i) in
+    if keep y then begin
+      if !k <> i then begin
+        b.buf.(phys b !k) <- y;
+        a.buf.(phys a !k) <- a.buf.(phys a i)
+      end;
+      incr k
+    end
+  done;
+  truncate a !k;
+  truncate b !k;
+  !k
+
+(* A ring is index-aligned with itself: moving slot [i] to [k] in "both"
+   rings is one move. *)
+let compact keep t = compact2 keep t t
+
 let swap a b =
   let buf = a.buf and head = a.head and len = a.len in
   a.buf <- b.buf;
@@ -128,9 +104,20 @@ let swap a b =
 
 let iter f t =
   for i = 0 to t.len - 1 do
-    let x = t.buf.(phys t i) in
-    if not (is_tomb x) then f x
+    f t.buf.(phys t i)
   done
 
-let to_list t =
-  List.filter (fun x -> not (is_tomb x)) (List.init t.len (fun i -> t.buf.(phys t i)))
+let to_list t = List.init t.len (fun i -> t.buf.(phys t i))
+
+type ring = Ring : 'a t * ('a -> int) -> ring
+
+let orphan f = if Futures.Future.poison f Futures.Future.Orphaned then 1 else 0
+
+let abandon rings =
+  let n = ref 0 in
+  List.iter
+    (fun (Ring (t, poison)) ->
+      iter (fun x -> n := !n + poison x) t;
+      clear t)
+    rings;
+  !n

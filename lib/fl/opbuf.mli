@@ -18,12 +18,12 @@
     Vacated slots are overwritten with a dummy so the buffer never
     retains references to flushed elements.
 
-    {b Tombstones.} A slot can be {!delete}d in place — e.g. when the op
-    it holds was cancelled. The tombstone keeps its logical index (so
-    parallel rings — values in one, futures in another — stay aligned)
-    but is invisible to {!iter}/{!to_list}, discarded by
-    {!pop_back}, and removed by {!compact} before a window is spliced
-    into the shared structure with the [*_seg] operations. *)
+    {b Withdrawal.} Whether an op is still wanted is recorded in one
+    place, its future's fate. A handle withdraws cancelled (or otherwise
+    already-settled) ops by {!compact}ing its window on "the future is
+    pending" before the window is spliced into the shared structure;
+    {!compact2} does the same to two index-aligned rings (values in one,
+    futures in the other) in lockstep, so they stay aligned. *)
 
 type 'a t
 
@@ -44,42 +44,31 @@ val push : 'a t -> 'a -> unit
 
 val get : 'a t -> int -> 'a
 (** [get t i] is the [i]-th oldest element, [0 <= i < length t]. Raises
-    [Invalid_argument] out of range or if the slot is tombstoned. *)
-
-val set : 'a t -> int -> 'a -> unit
-(** Replace the [i]-th oldest element (used to compact a window in
-    place); overwriting a tombstone revives the slot. Raises
     [Invalid_argument] out of range. *)
 
-val delete : 'a t -> int -> unit
-(** Tombstone the [i]-th slot in place: the cancelled-op case. [length]
-    is unchanged — the slot still counts — but the element is gone.
-    Raises [Invalid_argument] out of range. *)
+val compact : ('a -> bool) -> 'a t -> int
+(** [compact keep t] keeps the elements satisfying [keep], in their
+    order, and returns the new length. Allocates nothing; a buffer whose
+    elements all satisfy [keep] is only read. *)
 
-val deleted : 'a t -> int -> bool
-(** Is the [i]-th slot tombstoned? Raises [Invalid_argument] out of
-    range. *)
-
-val live : 'a t -> int
-(** Number of non-tombstoned slots ([length t] minus tombstones). *)
-
-val compact : 'a t -> int
-(** Remove tombstoned slots, preserving the order of the survivors, and
-    return the new length. Applying [compact] to index-aligned parallel
-    rings with identical tombstone positions keeps them aligned. *)
+val compact2 : ('b -> bool) -> 'a t -> 'b t -> int
+(** [compact2 keep a b]: the lockstep form of {!compact} for
+    index-aligned parallel rings. Slot [i] survives in both iff [keep]
+    holds of [b]'s slot [i]; survivors keep their order and pairing.
+    Returns the new (common) length. Raises [Invalid_argument] if the
+    lengths differ. *)
 
 val pop_back : 'a t -> 'a
-(** Remove and return the newest element, discarding any tombstoned
-    slots in the way. Raises [Invalid_argument] if no element remains. *)
+(** Remove and return the newest element. Raises [Invalid_argument] if
+    the buffer is empty. *)
 
 val drop_front : 'a t -> int -> unit
 (** Retire the [n] oldest elements. Raises [Invalid_argument] if
     [n < 0] or [n > length t]. *)
 
 val truncate : 'a t -> int -> unit
-(** Keep only the [n] oldest elements, dropping the newest ones (used
-    after in-place compaction). Raises [Invalid_argument] if [n < 0] or
-    [n > length t]. *)
+(** Keep only the [n] oldest elements, dropping the newest ones.
+    Raises [Invalid_argument] if [n < 0] or [n > length t]. *)
 
 val clear : 'a t -> unit
 (** Empty the buffer (capacity is retained). *)
@@ -94,3 +83,19 @@ val iter : ('a -> unit) -> 'a t -> unit
 
 val to_list : 'a t -> 'a list
 (** Oldest first; for tests. *)
+
+(** {2 Owner-death recovery} *)
+
+type ring = Ring : 'a t * ('a -> int) -> ring
+(** A ring a handle owns, with the poisoner of one of its elements: it
+    poisons the element's future(s) and returns how many this call
+    poisoned ([Fun.const 0] for a ring of plain values). *)
+
+val orphan : 'a Futures.Future.t -> int
+(** Poison [f] with [Future.Orphaned]: [1] if this call did, [0] if [f]
+    was already terminal. The one poisoner every handle's [abandon]
+    counts with. *)
+
+val abandon : ring list -> int
+(** A handle's [abandon]: run each ring's poisoner over its elements,
+    clear every ring, and return the total poisoned. *)

@@ -33,141 +33,112 @@ type stack_instance = {
 
 type stack_impl = { s_name : string; s_make : unit -> stack_instance }
 
-let lockfree_stack () =
-  let s = Lockfree.Treiber_stack.create () in
+let no_dials () = []
+
+(* Handle-free entries — the baselines, whose futures are already
+   fulfilled, and strong-FL, whose pending state is shared and settled by
+   [drain] — have no per-handle window: nothing to flush or abandon.
+   [ops] builds one domain's operations. *)
+let immediate_stack ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
+    ops =
   {
     s_handle =
       (fun () ->
-        {
-          s_push =
-            (fun x ->
-              Lockfree.Treiber_stack.push s x;
-              Future.of_value ());
-          s_pop = (fun () -> Future.of_value (Lockfree.Treiber_stack.pop s));
-          s_flush = ignore;
-          s_abandon = (fun () -> 0);
-        });
-    s_drain = ignore;
-    s_cas_count = (fun () -> Lockfree.Treiber_stack.cas_count s);
-    s_contents = (fun () -> Lockfree.Treiber_stack.to_list s);
-    s_dials = (fun () -> []);
+        let s_push, s_pop = ops () in
+        { s_push; s_pop; s_flush = ignore; s_abandon = (fun () -> 0) });
+    s_drain = drain;
+    s_cas_count = cas_count;
+    s_contents = contents;
+    s_dials = dials;
   }
+
+(* A weak/medium-FL stack over the shared Treiber stack it exposes. *)
+module Handle_stack (S : Fl_intf.HANDLE_STACK) = struct
+  let instance ?(dials = no_dials) s =
+    {
+      s_handle =
+        (fun () ->
+          let h = S.handle s in
+          {
+            s_push = (fun x -> S.push h x);
+            s_pop = (fun () -> S.pop h);
+            s_flush = (fun () -> S.flush h);
+            s_abandon = (fun () -> S.abandon h);
+          });
+      s_drain = ignore;
+      s_cas_count =
+        (fun () -> Lockfree.Treiber_stack.cas_count (S.shared s));
+      s_contents = (fun () -> Lockfree.Treiber_stack.to_list (S.shared s));
+      s_dials = dials;
+    }
+end
+
+module WS = Handle_stack (Weak_stack)
+module MS = Handle_stack (Medium_stack)
+
+let lockfree_stack () =
+  let s = Lockfree.Treiber_stack.create () in
+  immediate_stack
+    ~cas_count:(fun () -> Lockfree.Treiber_stack.cas_count s)
+    ~contents:(fun () -> Lockfree.Treiber_stack.to_list s)
+    (fun () ->
+      ( (fun x ->
+          Lockfree.Treiber_stack.push s x;
+          Future.of_value ()),
+        fun () -> Future.of_value (Lockfree.Treiber_stack.pop s) ))
 
 let weak_stack_with ?(exchange = false) ~elimination () =
   let s = Weak_stack.create ~elimination ~exchange () in
-  {
-    s_handle =
-      (fun () ->
-        let h = Weak_stack.handle s in
-        {
-          s_push = (fun x -> Weak_stack.push h x);
-          s_pop = (fun () -> Weak_stack.pop h);
-          s_flush = (fun () -> Weak_stack.flush h);
-          s_abandon = (fun () -> Weak_stack.abandon h);
-        });
-    s_drain = ignore;
-    s_cas_count =
-      (fun () -> Lockfree.Treiber_stack.cas_count (Weak_stack.shared s));
-    s_contents =
-      (fun () -> Lockfree.Treiber_stack.to_list (Weak_stack.shared s));
-    s_dials =
-      (fun () ->
-        match Weak_stack.exchanger s with
-        | Some ex -> Tunable.of_exchanger ~name:"weak-stack.elim" ex
-        | None -> []);
-  }
+  WS.instance s ~dials:(fun () ->
+      match Weak_stack.exchanger s with
+      | Some ex -> Tunable.of_exchanger ~name:"weak-stack.elim" ex
+      | None -> [])
 
 let weak_stack () = weak_stack_with ~elimination:true ()
 
 let weak_exchange_stack () = weak_stack_with ~exchange:true ~elimination:true ()
 
-let medium_stack () =
-  let s = Medium_stack.create () in
-  {
-    s_handle =
-      (fun () ->
-        let h = Medium_stack.handle s in
-        {
-          s_push = (fun x -> Medium_stack.push h x);
-          s_pop = (fun () -> Medium_stack.pop h);
-          s_flush = (fun () -> Medium_stack.flush h);
-          s_abandon = (fun () -> Medium_stack.abandon h);
-        });
-    s_drain = ignore;
-    s_cas_count =
-      (fun () -> Lockfree.Treiber_stack.cas_count (Medium_stack.shared s));
-    s_contents =
-      (fun () -> Lockfree.Treiber_stack.to_list (Medium_stack.shared s));
-    s_dials = (fun () -> []);
-  }
+let medium_stack () = MS.instance (Medium_stack.create ())
 
 let strong_stack () =
   let s = Strong_stack.create () in
-  {
-    s_handle =
-      (fun () ->
-        {
-          s_push = (fun x -> Strong_stack.push s x);
-          s_pop = (fun () -> Strong_stack.pop s);
-          s_flush = ignore;
-          s_abandon = (fun () -> 0);
-        });
-    s_drain = (fun () -> Strong_stack.drain s);
-    s_cas_count = (fun () -> Strong_stack.pending_cas_count s);
-    s_contents = (fun () -> Strong_stack.to_list s);
-    s_dials = (fun () -> []);
-  }
+  immediate_stack
+    ~drain:(fun () -> Strong_stack.drain s)
+    ~cas_count:(fun () -> Strong_stack.pending_cas_count s)
+    ~contents:(fun () -> Strong_stack.to_list s)
+    (fun () -> ((fun x -> Strong_stack.push s x), fun () -> Strong_stack.pop s))
 
 let fc_stack () =
   let s = Combining.Fc_stack.create () in
-  {
-    s_handle =
-      (fun () ->
-        let h = Combining.Fc_stack.handle s in
-        {
-          s_push =
-            (fun x ->
-              Combining.Fc_stack.push h x;
-              Future.of_value ());
-          s_pop = (fun () -> Future.of_value (Combining.Fc_stack.pop h));
-          s_flush = ignore;
-          s_abandon = (fun () -> 0);
-        });
-    s_drain = ignore;
-    (* Flat combining synchronizes through its lock and publication list,
-       not CAS on the structure; report 0. *)
-    s_cas_count = (fun () -> 0);
-    s_contents = (fun () -> Combining.Fc_stack.to_list s);
-    s_dials =
-      (fun () ->
-        Tunable.of_fc ~name:"fc-stack"
-          ~pass_budget:(fun () -> Combining.Fc_stack.pass_budget s)
-          ~set_pass_budget:(Combining.Fc_stack.set_pass_budget s)
-          ~scan_limit:(fun () -> Combining.Fc_stack.scan_limit s)
-          ~set_scan_limit:(Combining.Fc_stack.set_scan_limit s)
-          ());
-  }
+  (* Flat combining synchronizes through its lock and publication list,
+     not CAS on the structure; report 0. *)
+  immediate_stack
+    ~cas_count:(fun () -> 0)
+    ~contents:(fun () -> Combining.Fc_stack.to_list s)
+    ~dials:(fun () ->
+      Tunable.of_fc ~name:"fc-stack"
+        ~pass_budget:(fun () -> Combining.Fc_stack.pass_budget s)
+        ~set_pass_budget:(Combining.Fc_stack.set_pass_budget s)
+        ~scan_limit:(fun () -> Combining.Fc_stack.scan_limit s)
+        ~set_scan_limit:(Combining.Fc_stack.set_scan_limit s)
+        ())
+    (fun () ->
+      let h = Combining.Fc_stack.handle s in
+      ( (fun x ->
+          Combining.Fc_stack.push h x;
+          Future.of_value ()),
+        fun () -> Future.of_value (Combining.Fc_stack.pop h) ))
 
 let elim_stack () =
   let s = Lockfree.Elimination_stack.create () in
-  {
-    s_handle =
-      (fun () ->
-        {
-          s_push =
-            (fun x ->
-              Lockfree.Elimination_stack.push s x;
-              Future.of_value ());
-          s_pop =
-            (fun () -> Future.of_value (Lockfree.Elimination_stack.pop s));
-          s_flush = ignore;
-          s_abandon = (fun () -> 0);
-        });
-    s_drain = ignore;
-    s_cas_count = (fun () -> Lockfree.Elimination_stack.cas_count s);
-    s_contents = (fun () -> Lockfree.Elimination_stack.to_list s);
-    s_dials = (fun () -> []);
-  }
+  immediate_stack
+    ~cas_count:(fun () -> Lockfree.Elimination_stack.cas_count s)
+    ~contents:(fun () -> Lockfree.Elimination_stack.to_list s)
+    (fun () ->
+      ( (fun x ->
+          Lockfree.Elimination_stack.push s x;
+          Future.of_value ()),
+        fun () -> Future.of_value (Lockfree.Elimination_stack.pop s) ))
 
 let stack_impls =
   [
@@ -200,109 +171,84 @@ type queue_instance = {
 
 type queue_impl = { q_name : string; q_make : unit -> queue_instance }
 
+let immediate_queue ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
+    ops =
+  {
+    q_handle =
+      (fun () ->
+        let q_enq, q_deq = ops () in
+        { q_enq; q_deq; q_flush = ignore; q_abandon = (fun () -> 0) });
+    q_drain = drain;
+    q_cas_count = cas_count;
+    q_contents = contents;
+    q_dials = dials;
+  }
+
+(* A weak/medium-FL queue over the shared Michael–Scott queue it
+   exposes. *)
+module Handle_queue (Q : Fl_intf.HANDLE_QUEUE) = struct
+  let instance q =
+    {
+      q_handle =
+        (fun () ->
+          let h = Q.handle q in
+          {
+            q_enq = (fun x -> Q.enqueue h x);
+            q_deq = (fun () -> Q.dequeue h);
+            q_flush = (fun () -> Q.flush h);
+            q_abandon = (fun () -> Q.abandon h);
+          });
+      q_drain = ignore;
+      q_cas_count = (fun () -> Lockfree.Ms_queue.cas_count (Q.shared q));
+      q_contents = (fun () -> Lockfree.Ms_queue.to_list (Q.shared q));
+      q_dials = no_dials;
+    }
+end
+
+module WQ = Handle_queue (Weak_queue)
+module MQ = Handle_queue (Medium_queue)
+
 let lockfree_queue () =
   let q = Lockfree.Ms_queue.create () in
-  {
-    q_handle =
-      (fun () ->
-        {
-          q_enq =
-            (fun x ->
-              Lockfree.Ms_queue.enqueue q x;
-              Future.of_value ());
-          q_deq = (fun () -> Future.of_value (Lockfree.Ms_queue.dequeue q));
-          q_flush = ignore;
-          q_abandon = (fun () -> 0);
-        });
-    q_drain = ignore;
-    q_cas_count = (fun () -> Lockfree.Ms_queue.cas_count q);
-    q_contents = (fun () -> Lockfree.Ms_queue.to_list q);
-    q_dials = (fun () -> []);
-  }
+  immediate_queue
+    ~cas_count:(fun () -> Lockfree.Ms_queue.cas_count q)
+    ~contents:(fun () -> Lockfree.Ms_queue.to_list q)
+    (fun () ->
+      ( (fun x ->
+          Lockfree.Ms_queue.enqueue q x;
+          Future.of_value ()),
+        fun () -> Future.of_value (Lockfree.Ms_queue.dequeue q) ))
 
-let weak_queue () =
-  let q = Weak_queue.create () in
-  {
-    q_handle =
-      (fun () ->
-        let h = Weak_queue.handle q in
-        {
-          q_enq = (fun x -> Weak_queue.enqueue h x);
-          q_deq = (fun () -> Weak_queue.dequeue h);
-          q_flush = (fun () -> Weak_queue.flush h);
-          q_abandon = (fun () -> Weak_queue.abandon h);
-        });
-    q_drain = ignore;
-    q_cas_count =
-      (fun () -> Lockfree.Ms_queue.cas_count (Weak_queue.shared q));
-    q_contents = (fun () -> Lockfree.Ms_queue.to_list (Weak_queue.shared q));
-    q_dials = (fun () -> []);
-  }
-
-let medium_queue () =
-  let q = Medium_queue.create () in
-  {
-    q_handle =
-      (fun () ->
-        let h = Medium_queue.handle q in
-        {
-          q_enq = (fun x -> Medium_queue.enqueue h x);
-          q_deq = (fun () -> Medium_queue.dequeue h);
-          q_flush = (fun () -> Medium_queue.flush h);
-          q_abandon = (fun () -> Medium_queue.abandon h);
-        });
-    q_drain = ignore;
-    q_cas_count =
-      (fun () -> Lockfree.Ms_queue.cas_count (Medium_queue.shared q));
-    q_contents =
-      (fun () -> Lockfree.Ms_queue.to_list (Medium_queue.shared q));
-    q_dials = (fun () -> []);
-  }
+let weak_queue () = WQ.instance (Weak_queue.create ())
+let medium_queue () = MQ.instance (Medium_queue.create ())
 
 let strong_queue () =
   let q = Strong_queue.create () in
-  {
-    q_handle =
-      (fun () ->
-        {
-          q_enq = (fun x -> Strong_queue.enqueue q x);
-          q_deq = (fun () -> Strong_queue.dequeue q);
-          q_flush = ignore;
-          q_abandon = (fun () -> 0);
-        });
-    q_drain = (fun () -> Strong_queue.drain q);
-    q_cas_count = (fun () -> Strong_queue.pending_cas_count q);
-    q_contents = (fun () -> Strong_queue.to_list q);
-    q_dials = (fun () -> []);
-  }
+  immediate_queue
+    ~drain:(fun () -> Strong_queue.drain q)
+    ~cas_count:(fun () -> Strong_queue.pending_cas_count q)
+    ~contents:(fun () -> Strong_queue.to_list q)
+    (fun () ->
+      ((fun x -> Strong_queue.enqueue q x), fun () -> Strong_queue.dequeue q))
 
 let fc_queue () =
   let q = Combining.Fc_queue.create () in
-  {
-    q_handle =
-      (fun () ->
-        let h = Combining.Fc_queue.handle q in
-        {
-          q_enq =
-            (fun x ->
-              Combining.Fc_queue.enqueue h x;
-              Future.of_value ());
-          q_deq = (fun () -> Future.of_value (Combining.Fc_queue.dequeue h));
-          q_flush = ignore;
-          q_abandon = (fun () -> 0);
-        });
-    q_drain = ignore;
-    q_cas_count = (fun () -> 0);
-    q_contents = (fun () -> Combining.Fc_queue.to_list q);
-    q_dials =
-      (fun () ->
-        Tunable.of_fc ~name:"fc-queue"
-          ~pass_budget:(fun () -> Combining.Fc_queue.pass_budget q)
-          ~set_pass_budget:(Combining.Fc_queue.set_pass_budget q)
-          ~scan_limit:(fun () -> Combining.Fc_queue.scan_limit q)
-          ~set_scan_limit:(Combining.Fc_queue.set_scan_limit q)
-          ());
-  }
+  immediate_queue
+    ~cas_count:(fun () -> 0)
+    ~contents:(fun () -> Combining.Fc_queue.to_list q)
+    ~dials:(fun () ->
+      Tunable.of_fc ~name:"fc-queue"
+        ~pass_budget:(fun () -> Combining.Fc_queue.pass_budget q)
+        ~set_pass_budget:(Combining.Fc_queue.set_pass_budget q)
+        ~scan_limit:(fun () -> Combining.Fc_queue.scan_limit q)
+        ~set_scan_limit:(Combining.Fc_queue.set_scan_limit q)
+        ())
+    (fun () ->
+      let h = Combining.Fc_queue.handle q in
+      ( (fun x ->
+          Combining.Fc_queue.enqueue h x;
+          Future.of_value ()),
+        fun () -> Future.of_value (Combining.Fc_queue.dequeue h) ))
 
 let queue_impls =
   [
@@ -334,128 +280,105 @@ type set_instance = {
 
 type set_impl = { l_name : string; l_make : unit -> set_instance }
 
-let lockfree_set () =
-  let l = Harris.create () in
+let immediate_set ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
+    ops =
   {
     l_handle =
       (fun () ->
+        let l_insert, l_remove, l_contains = ops () in
         {
-          l_insert = (fun k -> Future.of_value (Harris.insert l k));
-          l_remove = (fun k -> Future.of_value (Harris.remove l k));
-          l_contains = (fun k -> Future.of_value (Harris.contains l k));
+          l_insert;
+          l_remove;
+          l_contains;
           l_flush = ignore;
           l_abandon = (fun () -> 0);
         });
-    l_drain = ignore;
-    l_cas_count = (fun () -> Harris.cas_count l);
-    l_contents = (fun () -> Harris.to_list l);
-    l_dials = (fun () -> []);
+    l_drain = drain;
+    l_cas_count = cas_count;
+    l_contents = contents;
+    l_dials = dials;
   }
+
+(* A weak/medium-FL set over its shared Harris list ([shared]; the set
+   signature cannot name the list type of its key). *)
+module Handle_set (S : Fl_intf.HANDLE_SET with module Key := Int_key) = struct
+  let instance l ~shared =
+    {
+      l_handle =
+        (fun () ->
+          let h = S.handle l in
+          {
+            l_insert = (fun k -> S.insert h k);
+            l_remove = (fun k -> S.remove h k);
+            l_contains = (fun k -> S.contains h k);
+            l_flush = (fun () -> S.flush h);
+            l_abandon = (fun () -> S.abandon h);
+          });
+      l_drain = ignore;
+      l_cas_count = (fun () -> Harris.cas_count shared);
+      l_contents = (fun () -> Harris.to_list shared);
+      l_dials = no_dials;
+    }
+end
+
+module WLS = Handle_set (WL)
+module MLS = Handle_set (ML)
+module TLS = Handle_set (TL)
+
+let lockfree_set () =
+  let l = Harris.create () in
+  immediate_set
+    ~cas_count:(fun () -> Harris.cas_count l)
+    ~contents:(fun () -> Harris.to_list l)
+    (fun () ->
+      ( (fun k -> Future.of_value (Harris.insert l k)),
+        (fun k -> Future.of_value (Harris.remove l k)),
+        fun k -> Future.of_value (Harris.contains l k) ))
 
 let weak_set () =
   let l = WL.create () in
-  {
-    l_handle =
-      (fun () ->
-        let h = WL.handle l in
-        {
-          l_insert = (fun k -> WL.insert h k);
-          l_remove = (fun k -> WL.remove h k);
-          l_contains = (fun k -> WL.contains h k);
-          l_flush = (fun () -> WL.flush h);
-          l_abandon = (fun () -> WL.abandon h);
-        });
-    l_drain = ignore;
-    l_cas_count = (fun () -> Harris.cas_count (WL.shared l));
-    l_contents = (fun () -> Harris.to_list (WL.shared l));
-    l_dials = (fun () -> []);
-  }
+  WLS.instance l ~shared:(WL.shared l)
 
 let medium_set_with ~resume_hint =
   let l = ML.create ~resume_hint () in
-  {
-    l_handle =
-      (fun () ->
-        let h = ML.handle l in
-        {
-          l_insert = (fun k -> ML.insert h k);
-          l_remove = (fun k -> ML.remove h k);
-          l_contains = (fun k -> ML.contains h k);
-          l_flush = (fun () -> ML.flush h);
-          l_abandon = (fun () -> ML.abandon h);
-        });
-    l_drain = ignore;
-    l_cas_count = (fun () -> Harris.cas_count (ML.shared l));
-    l_contents = (fun () -> Harris.to_list (ML.shared l));
-    l_dials = (fun () -> []);
-  }
+  MLS.instance l ~shared:(ML.shared l)
 
 let medium_set () = medium_set_with ~resume_hint:true
 
 let strong_set_with ~sort_batch =
   let l = SL.create ~sort_batch () in
-  {
-    l_handle =
-      (fun () ->
-        {
-          l_insert = (fun k -> SL.insert l k);
-          l_remove = (fun k -> SL.remove l k);
-          l_contains = (fun k -> SL.contains l k);
-          l_flush = ignore;
-          l_abandon = (fun () -> 0);
-        });
-    l_drain = (fun () -> SL.drain l);
-    l_cas_count = (fun () -> SL.pending_cas_count l);
-    l_contents = (fun () -> SL.to_list l);
-    l_dials = (fun () -> []);
-  }
+  immediate_set
+    ~drain:(fun () -> SL.drain l)
+    ~cas_count:(fun () -> SL.pending_cas_count l)
+    ~contents:(fun () -> SL.to_list l)
+    (fun () ->
+      ( (fun k -> SL.insert l k),
+        (fun k -> SL.remove l k),
+        fun k -> SL.contains l k ))
 
 let strong_set () = strong_set_with ~sort_batch:true
 
 let txn_set () =
   let l = TL.create () in
-  {
-    l_handle =
-      (fun () ->
-        let h = TL.handle l in
-        {
-          l_insert = (fun k -> TL.insert h k);
-          l_remove = (fun k -> TL.remove h k);
-          l_contains = (fun k -> TL.contains h k);
-          l_flush = (fun () -> TL.flush h);
-          l_abandon = (fun () -> TL.abandon h);
-        });
-    l_drain = ignore;
-    l_cas_count = (fun () -> Harris.cas_count (TL.shared l));
-    l_contents = (fun () -> Harris.to_list (TL.shared l));
-    l_dials = (fun () -> []);
-  }
+  TLS.instance l ~shared:(TL.shared l)
 
 let fc_set () =
   let l = FCSet.create () in
-  {
-    l_handle =
-      (fun () ->
-        let h = FCSet.handle l in
-        {
-          l_insert = (fun k -> Future.of_value (FCSet.insert h k));
-          l_remove = (fun k -> Future.of_value (FCSet.remove h k));
-          l_contains = (fun k -> Future.of_value (FCSet.contains h k));
-          l_flush = ignore;
-          l_abandon = (fun () -> 0);
-        });
-    l_drain = ignore;
-    l_cas_count = (fun () -> 0);
-    l_contents = (fun () -> FCSet.to_list l);
-    l_dials =
-      (fun () ->
-        Tunable.of_fc ~name:"fc-set"
-          ~pass_budget:(fun () -> FCSet.pass_budget l)
-          ~set_pass_budget:(FCSet.set_pass_budget l)
-          ~scan_limit:(fun () -> FCSet.scan_limit l)
-          ~set_scan_limit:(FCSet.set_scan_limit l)
-          ());
-  }
+  immediate_set
+    ~cas_count:(fun () -> 0)
+    ~contents:(fun () -> FCSet.to_list l)
+    ~dials:(fun () ->
+      Tunable.of_fc ~name:"fc-set"
+        ~pass_budget:(fun () -> FCSet.pass_budget l)
+        ~set_pass_budget:(FCSet.set_pass_budget l)
+        ~scan_limit:(fun () -> FCSet.scan_limit l)
+        ~set_scan_limit:(FCSet.set_scan_limit l)
+        ())
+    (fun () ->
+      let h = FCSet.handle l in
+      ( (fun k -> Future.of_value (FCSet.insert h k)),
+        (fun k -> Future.of_value (FCSet.remove h k)),
+        fun k -> Future.of_value (FCSet.contains h k) ))
 
 let set_impls =
   [

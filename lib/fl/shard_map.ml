@@ -122,24 +122,34 @@ module Make (K : KEY) = struct
     | Remove (_, f) -> Future.is_pending f
 
   let poison_op = function
-    | Insert (_, _, f) -> Future.poison f Future.Orphaned
-    | Find (_, f) -> Future.poison f Future.Orphaned
-    | Remove (_, f) -> Future.poison f Future.Orphaned
+    | Insert (_, _, f) -> Opbuf.orphan f
+    | Find (_, f) -> Opbuf.orphan f
+    | Remove (_, f) -> Opbuf.orphan f
 
-  let poison_buf w =
-    let n = ref 0 in
-    Opbuf.iter (fun op -> if poison_op op then incr n) w;
-    Opbuf.clear w;
-    !n
-
-  (* Settle a successful recovery: poison the lost window, if any, and
-     return the number of futures poisoned. *)
-  let recovered t ~bucket (r : 'v pkg Bucket.recovery) =
-    let k = match r.Bucket.lost with None -> 0 | Some pkg -> poison_buf pkg in
-    Atomic.incr t.c_recovers;
+  (* Poison a window's un-applied futures, counted in the store's
+     stats. *)
+  let poison_buf t w =
+    let k = Opbuf.(abandon [ Ring (w, poison_op) ]) in
     if k > 0 then ignore (Atomic.fetch_and_add t.c_poisoned k);
-    Obs.shard_recover ~bucket ~poisoned:k;
     k
+
+  (* Withdraw the settled ops — cancelled, or answered by a degraded
+     read — and report whether any pending op is left. *)
+  let has_pending w = Opbuf.compact op_pending w > 0
+
+  (* Usurp bucket [i]'s expired state; on success poison the lost
+     window, if any. Returns the number of futures poisoned. *)
+  let try_recover h i =
+    let t = h.t in
+    match Bucket.try_recover t.shards.(i).b ~me:h.me ~lease:t.lease with
+    | None -> 0
+    | Some r ->
+        let k =
+          match r.Bucket.lost with None -> 0 | Some pkg -> poison_buf t pkg
+        in
+        Atomic.incr t.c_recovers;
+        Obs.shard_recover ~bucket:i ~poisoned:k;
+        k
 
   (* Apply a window against a bucket segment: one traversal, ops sorted
      by key (stable, so per-key invocation order is kept), position
@@ -183,8 +193,7 @@ module Make (K : KEY) = struct
         Opbuf.clear pkg;
         Obs.splice ~kind:Obs.Event.k_shard ~n
     | exception e ->
-        let k = poison_buf pkg in
-        if k > 0 then ignore (Atomic.fetch_and_add t.c_poisoned k);
+        ignore (poison_buf t pkg : int);
         raise e
 
   (* --------------------- degraded read-only mode -------------------- *)
@@ -193,7 +202,8 @@ module Make (K : KEY) = struct
      key has no earlier pending mutation in this window may be answered
      directly against the segment — a legal weak-FL linearization point
      inside their pending window — leaving only mutations to wait for
-     the transfer. *)
+     the transfer. A served find is terminal, so [has_pending] withdraws
+     it. *)
   let degraded_serve h i =
     let t = h.t in
     let sh = t.shards.(i) in
@@ -212,16 +222,13 @@ module Make (K : KEY) = struct
       !found
     in
     for idx = 0 to Opbuf.length w - 1 do
-      if not (Opbuf.deleted w idx) then
-        match Opbuf.get w idx with
-        | Find (k, f) when Future.is_pending f && not (mutation_on k) ->
-            let r = M.find sh.kv k in
-            if Future.try_fulfil f r then begin
-              Atomic.incr t.c_degraded;
-              Obs.shard_degraded ~bucket:i
-            end;
-            Opbuf.delete w idx
-        | _ -> ()
+      match Opbuf.get w idx with
+      | Find (k, f) when Future.is_pending f && not (mutation_on k) ->
+          if Future.try_fulfil f (M.find sh.kv k) then begin
+            Atomic.incr t.c_degraded;
+            Obs.shard_degraded ~bucket:i
+          end
+      | _ -> ()
     done
 
   (* ------------------------ owner-side pump ------------------------- *)
@@ -245,7 +252,7 @@ module Make (K : KEY) = struct
               Faults.point "shard.ship";
               let pkg = Opbuf.create () in
               Opbuf.swap pkg h.wins.(i);
-              let n = Opbuf.live pkg in
+              let n = Opbuf.length pkg in
               (* Stamp before the publishing CAS: the requester acks as
                  soon as Shipped is visible, and its ack must not sort
                  before this ship in the exported trace. *)
@@ -282,8 +289,7 @@ module Make (K : KEY) = struct
       let req_deadline = ref infinity in
       let t0 = ref 0 in
       let rec loop () =
-        if Opbuf.live w = 0 then Opbuf.clear w
-        else begin
+        if has_pending w then begin
           let now = Sync.Mono.now () in
           match Bucket.state sh.b with
           | Bucket.Owned { owner; until; _ } when owner = h.me && now < until ->
@@ -296,15 +302,12 @@ module Make (K : KEY) = struct
               if Bucket.try_acquire sh.b ~me:h.me ~lease:t.lease then apply ()
               else wait ()
           | st when Bucket.expired ~now st ->
-              (match Bucket.try_recover sh.b ~me:h.me ~lease:t.lease with
-              | Some r -> ignore (recovered t ~bucket:i r)
-              | None -> ());
+              ignore (try_recover h i : int);
               loop ()
           | Bucket.Owned _ ->
               (* live foreign lease: read-only service, then request *)
               degraded_serve h i;
-              if Opbuf.live w = 0 then Opbuf.clear w
-              else begin
+              if has_pending w then begin
                 if Bucket.try_request sh.b ~me:h.me then begin
                   Atomic.incr t.c_requests;
                   let s = Obs.shard_request ~bucket:i in
@@ -338,7 +341,7 @@ module Make (K : KEY) = struct
           | Bucket.Requested _ | Bucket.Granted _ | Bucket.Shipped _ ->
               (* a transfer between other handles: degraded reads only *)
               degraded_serve h i;
-              if Opbuf.live w = 0 then Opbuf.clear w else wait ()
+              if has_pending w then wait ()
         end
       and apply () =
         (* Applied in place: if this domain dies mid-apply, the window is
@@ -367,17 +370,11 @@ module Make (K : KEY) = struct
      hangs us. *)
   let settle h i f_pending =
     if f_pending () then begin
-      let t = h.t in
-      let sh = t.shards.(i) in
+      let b = h.t.shards.(i).b in
       let bo = Sync.Backoff.create () in
       while f_pending () do
-        let now = Sync.Mono.now () in
-        (match Bucket.state sh.b with
-        | st when Bucket.expired ~now st -> (
-            match Bucket.try_recover sh.b ~me:h.me ~lease:t.lease with
-            | Some r -> ignore (recovered t ~bucket:i r)
-            | None -> ())
-        | _ -> ());
+        if Bucket.expired ~now:(Sync.Mono.now ()) (Bucket.state b) then
+          ignore (try_recover h i : int);
         service h;
         Sync.Backoff.once bo
       done
@@ -414,23 +411,14 @@ module Make (K : KEY) = struct
         n + !k)
       0 h.wins
 
-  let abandon h =
-    let t = h.t in
-    let n = ref 0 in
-    Array.iter (fun w -> n := !n + poison_buf w) h.wins;
-    if !n > 0 then ignore (Atomic.fetch_and_add t.c_poisoned !n);
-    !n
+  let abandon h = Array.fold_left (fun n w -> n + poison_buf h.t w) 0 h.wins
 
   let recover_all h =
-    let t = h.t in
     let n = ref 0 in
     Array.iteri
       (fun i sh ->
-        let now = Sync.Mono.now () in
-        if Bucket.expired ~now (Bucket.state sh.b) then
-          match Bucket.try_recover sh.b ~me:h.me ~lease:t.lease with
-          | Some r -> n := !n + recovered t ~bucket:i r
-          | None -> ())
-      t.shards;
+        if Bucket.expired ~now:(Sync.Mono.now ()) (Bucket.state sh.b) then
+          n := !n + try_recover h i)
+      h.t.shards;
     !n
 end

@@ -90,16 +90,15 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     h
 
   let abandon h =
-    let n = ref 0 in
-    KMap.iter
-      (fun _ ops ->
-        List.iter
-          (fun op -> if Future.poison op.future Future.Orphaned then incr n)
-          ops)
-      h.pending;
+    let n =
+      KMap.fold
+        (fun _ ops n ->
+          List.fold_left (fun n op -> n + Opbuf.orphan op.future) n ops)
+        h.pending 0
+    in
     h.pending <- KMap.empty;
     h.count <- 0;
-    !n
+    n
 
   let add h key kind =
     let future = Future.create_with ~evaluator:h.eval in

@@ -30,21 +30,11 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
      have ascending keys — each physical operation resumes the traversal
      from the previous group's position. *)
   let flush h =
-    let n = Opbuf.length h.ops in
-    if n > 0 then begin
+    if not (Opbuf.is_empty h.ops) then begin
       Opbuf.swap h.ops h.work;
       (* Withdraw cancelled ops before sorting: they contribute neither a
          physical operation nor a replay step. *)
-      let n =
-        let any = ref false in
-        for i = 0 to n - 1 do
-          if not (Future.is_pending (Opbuf.get h.work i).future) then begin
-            Opbuf.delete h.work i;
-            any := true
-          end
-        done;
-        if !any then Opbuf.compact h.work else n
-      in
+      let n = Opbuf.compact (fun op -> Future.is_pending op.future) h.work in
       let idx = Array.init n (fun i -> i) in
       Array.stable_sort
         (fun a b -> K.compare (Opbuf.get h.work a).key (Opbuf.get h.work b).key)
@@ -113,15 +103,8 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
     h
 
   let abandon h =
-    let n = ref 0 in
-    let poison op =
-      if Future.poison op.future Future.Orphaned then incr n
-    in
-    Opbuf.iter poison h.ops;
-    Opbuf.iter poison h.work;
-    Opbuf.clear h.ops;
-    Opbuf.clear h.work;
-    !n
+    let op o = Opbuf.orphan o.future in
+    Opbuf.(abandon [ Ring (h.ops, op); Ring (h.work, op) ])
 
   let add h key kind =
     let future = Future.create_with ~evaluator:h.eval in

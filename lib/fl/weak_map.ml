@@ -74,22 +74,19 @@ module Make (K : Lockfree.Harris_list.KEY) = struct
      [Broken Orphaned] instead of hanging, and detach the window. Safe to
      call from the watchdog/sweep of a dead owner's handle. *)
   let abandon h =
-    let n = ref 0 in
-    let poison : 'a. 'a Future.t -> unit =
-     fun f -> if Future.poison f Future.Orphaned then incr n
+    let op = function
+      | Insert (_, f) -> Opbuf.orphan f
+      | Find f -> Opbuf.orphan f
+      | Remove f -> Opbuf.orphan f
     in
-    KMap.iter
-      (fun _ ops ->
-        List.iter
-          (function
-            | Insert (_, f) -> poison f
-            | Find f -> poison f
-            | Remove f -> poison f)
-          ops)
-      h.pending;
+    let n =
+      KMap.fold
+        (fun _ ops n -> List.fold_left (fun n o -> n + op o) n ops)
+        h.pending 0
+    in
     h.pending <- KMap.empty;
     h.count <- 0;
-    !n
+    n
 
   let insert h key v =
     let f = Future.create_with ~evaluator:h.eval in

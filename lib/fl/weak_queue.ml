@@ -28,40 +28,12 @@ let shared t = t.queue
 
 let pending_count h = Opbuf.length h.enq_vals + Opbuf.length h.deqs
 
-(* Withdraw cancelled ops from a detached window before it is spliced:
-   tombstone their slots (both rings at the same index, keeping the
-   parallel rings aligned), then compact. Returns the live size. *)
-let drop_cancelled_pairs vals futs n =
-  let any = ref false in
-  for i = 0 to n - 1 do
-    if not (Future.is_pending (Opbuf.get futs i)) then begin
-      Opbuf.delete futs i;
-      Opbuf.delete vals i;
-      any := true
-    end
-  done;
-  if !any then begin
-    ignore (Opbuf.compact vals : int);
-    Opbuf.compact futs
-  end
-  else n
-
-let drop_cancelled futs n =
-  let any = ref false in
-  for i = 0 to n - 1 do
-    if not (Future.is_pending (Opbuf.get futs i)) then begin
-      Opbuf.delete futs i;
-      any := true
-    end
-  done;
-  if !any then Opbuf.compact futs else n
-
 let flush_enqueues h =
-  let n = Opbuf.length h.enq_vals in
-  if n > 0 then begin
+  if not (Opbuf.is_empty h.enq_vals) then begin
     Opbuf.swap h.enq_vals h.scratch_vals;
     Opbuf.swap h.enq_futs h.scratch_futs;
-    let n = drop_cancelled_pairs h.scratch_vals h.scratch_futs n in
+    (* Withdraw cancelled ops: keep the pairs whose future is pending. *)
+    let n = Opbuf.compact2 Future.is_pending h.scratch_vals h.scratch_futs in
     Lockfree.Ms_queue.enqueue_seg h.owner.queue ~n ~get:h.get_val;
     Obs.splice ~kind:Obs.Event.k_weak_queue_enq ~n;
     for i = 0 to n - 1 do
@@ -72,10 +44,9 @@ let flush_enqueues h =
   end
 
 let flush_dequeues h =
-  let n = Opbuf.length h.deqs in
-  if n > 0 then begin
+  if not (Opbuf.is_empty h.deqs) then begin
     Opbuf.swap h.deqs h.scratch_deqs;
-    let n = drop_cancelled h.scratch_deqs n in
+    let n = Opbuf.compact Future.is_pending h.scratch_deqs in
     (* Oldest pending dequeue receives the oldest element; dequeues in
        excess of the queue's size observe "empty". *)
     let k = Lockfree.Ms_queue.dequeue_seg h.owner.queue ~n ~f:h.put_deq in
@@ -109,21 +80,16 @@ let handle owner =
   h
 
 let abandon h =
-  let n = ref 0 in
-  let poison : type x. x Future.t -> unit =
-   fun f -> if Future.poison f Future.Orphaned then incr n
-  in
-  Opbuf.iter poison h.enq_futs;
-  Opbuf.iter poison h.scratch_futs;
-  Opbuf.iter poison h.deqs;
-  Opbuf.iter poison h.scratch_deqs;
-  Opbuf.clear h.enq_vals;
-  Opbuf.clear h.enq_futs;
-  Opbuf.clear h.deqs;
-  Opbuf.clear h.scratch_vals;
-  Opbuf.clear h.scratch_futs;
-  Opbuf.clear h.scratch_deqs;
-  !n
+  Opbuf.(
+    abandon
+      [
+        Ring (h.enq_futs, orphan);
+        Ring (h.scratch_futs, orphan);
+        Ring (h.deqs, orphan);
+        Ring (h.scratch_deqs, orphan);
+        Ring (h.enq_vals, Fun.const 0);
+        Ring (h.scratch_vals, Fun.const 0);
+      ])
 
 let enqueue h x =
   let f = Future.create_with ~evaluator:h.eval_enq in

@@ -49,59 +49,25 @@ let pending_count h = Opbuf.length h.push_vals + Opbuf.length h.pops
 (* How long a leftover pop waits in the exchange array for a producer. *)
 let exchange_patience = 64
 
-(* Withdraw cancelled ops from a detached window before it is spliced:
-   tombstone their slots — both rings at the same index, so the parallel
-   rings stay aligned — then compact. Returns the live size. *)
-let drop_cancelled_pairs vals futs n =
-  let any = ref false in
-  for i = 0 to n - 1 do
-    if not (Future.is_pending (Opbuf.get futs i)) then begin
-      Opbuf.delete futs i;
-      Opbuf.delete vals i;
-      any := true
-    end
-  done;
-  if !any then begin
-    ignore (Opbuf.compact vals : int);
-    Opbuf.compact futs
-  end
-  else n
-
-let drop_cancelled futs n =
-  let any = ref false in
-  for i = 0 to n - 1 do
-    if not (Future.is_pending (Opbuf.get futs i)) then begin
-      Opbuf.delete futs i;
-      any := true
-    end
-  done;
-  if !any then Opbuf.compact futs else n
-
 let flush_pushes h =
-  let n = Opbuf.length h.push_vals in
-  if n > 0 then begin
+  if not (Opbuf.is_empty h.push_vals) then begin
     Opbuf.swap h.push_vals h.scratch_vals;
     Opbuf.swap h.push_futs h.scratch_futs;
-    let n = drop_cancelled_pairs h.scratch_vals h.scratch_futs n in
+    (* Withdraw cancelled ops: keep the pairs whose future is pending. *)
+    let n = Opbuf.compact2 Future.is_pending h.scratch_vals h.scratch_futs in
     (* Cross-handle elimination: hand values to takers parked by other
        handles' starving pops. Producers only ever [try_give] — they never
        park — so the fast path costs one read-only scan when nobody
-       waits. Survivors are compacted in place and spliced below. *)
+       waits. A given value's push is fulfilled, so the same compaction
+       drops it; the survivors are spliced below. *)
     let n =
       match h.owner.exchange with
       | Some ex when Lockfree.Exchanger.takers_waiting ex ->
-          let kept = ref 0 in
           for i = 0 to n - 1 do
-            let v = Opbuf.get h.scratch_vals i in
-            if Lockfree.Exchanger.try_give ex v then
+            if Lockfree.Exchanger.try_give ex (Opbuf.get h.scratch_vals i) then
               Future.fulfil (Opbuf.get h.scratch_futs i) ()
-            else begin
-              Opbuf.set h.scratch_vals !kept v;
-              Opbuf.set h.scratch_futs !kept (Opbuf.get h.scratch_futs i);
-              incr kept
-            end
           done;
-          !kept
+          Opbuf.compact2 Future.is_pending h.scratch_vals h.scratch_futs
       | _ -> n
     in
     (* Oldest push deepest: one CAS splices the whole window. *)
@@ -115,10 +81,9 @@ let flush_pushes h =
   end
 
 let flush_pops h =
-  let n = Opbuf.length h.pops in
-  if n > 0 then begin
+  if not (Opbuf.is_empty h.pops) then begin
     Opbuf.swap h.pops h.scratch_pops;
-    let n = drop_cancelled h.scratch_pops n in
+    let n = Opbuf.compact Future.is_pending h.scratch_pops in
     (* Oldest pending pop receives the value that was on top. *)
     let k = Lockfree.Treiber_stack.pop_seg h.owner.stack ~n ~f:h.put_pop in
     Obs.splice ~kind:Obs.Event.k_weak_stack_pop ~n:k;
@@ -159,21 +124,16 @@ let handle owner =
   h
 
 let abandon h =
-  let n = ref 0 in
-  let poison : type x. x Future.t -> unit =
-   fun f -> if Future.poison f Future.Orphaned then incr n
-  in
-  Opbuf.iter poison h.push_futs;
-  Opbuf.iter poison h.scratch_futs;
-  Opbuf.iter poison h.pops;
-  Opbuf.iter poison h.scratch_pops;
-  Opbuf.clear h.push_vals;
-  Opbuf.clear h.push_futs;
-  Opbuf.clear h.pops;
-  Opbuf.clear h.scratch_vals;
-  Opbuf.clear h.scratch_futs;
-  Opbuf.clear h.scratch_pops;
-  !n
+  Opbuf.(
+    abandon
+      [
+        Ring (h.push_futs, orphan);
+        Ring (h.scratch_futs, orphan);
+        Ring (h.pops, orphan);
+        Ring (h.scratch_pops, orphan);
+        Ring (h.push_vals, Fun.const 0);
+        Ring (h.scratch_vals, Fun.const 0);
+      ])
 
 (* Elimination: a push hands its value to the newest pending pop (and
    vice versa); neither operation ever reaches the shared stack. A

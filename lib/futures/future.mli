@@ -95,8 +95,8 @@ val cancel : 'a t -> bool
     Returns [false] if the future was already applied, cancelled or
     poisoned — losing the race to a concurrent [fulfil] is clean, the
     fulfilled value stands. Owner thread only (the owner is the only
-    thread entitled to withdraw its own op); the data structure skips
-    cancelled ops at flush time via their tombstoned window slots. *)
+    thread entitled to withdraw its own op); the data structure
+    withdraws ops whose future is no longer pending at flush time. *)
 
 val poison : 'a t -> exn -> bool
 (** [poison t e] marks an orphan: CAS pending → [Broken e]. Any thread

@@ -1,9 +1,9 @@
 (* The single home for the repo's percentile math. Two halves:
 
    - Exact statistics over sample arrays (mean/std_dev/min/max/
-     percentile/median), used by the benchmark reports.
-     [Workload.Stats] re-exports these, so bench tables and the obs
-     subsystem share one definition of p50/p99 (nearest-rank).
+     percentile/median), used by the benchmark reports, so bench tables
+     and the obs subsystem share one definition of p50/p99
+     (nearest-rank).
    - A log-bucketed (HDR-style) concurrent histogram for hot-path
      latencies and batch sizes: recording is two atomic bumps with no
      allocation, buckets give ≤ 25% relative error (4 sub-buckets per

@@ -1,6 +1,6 @@
 (** Percentile math and latency histograms — the one module where p50/p99
-    are defined. [Workload.Stats] re-exports the exact sample half, the
-    metrics layer uses the log-bucketed half; both quote nearest-rank
+    are defined. The benchmark reports use the exact sample half, the
+    metrics layer the log-bucketed half; both quote nearest-rank
     percentiles. *)
 
 (** {2 Exact statistics over sample arrays} *)

@@ -291,15 +291,15 @@ let run ~threads ~repeats ~ops_per_thread ~setup ~worker ?cas_total ?teardown
         raise e
     | None -> ()
   done;
-  let mean = Stats.mean samples in
+  let mean = Obs.Histogram.mean samples in
   {
     threads;
     seconds = mean;
-    std_dev = Stats.std_dev samples;
+    std_dev = Obs.Histogram.std_dev samples;
     throughput = float_of_int (threads * ops_per_thread) /. mean;
     cas_per_op =
-      (if cas_total = None then Float.nan else Stats.mean cas_samples);
-    minor_words_per_op = Stats.mean words_samples;
+      (if cas_total = None then Float.nan else Obs.Histogram.mean cas_samples);
+    minor_words_per_op = Obs.Histogram.mean words_samples;
     killed = !killed;
     suppressed_failures = !suppressed;
     stall_warnings = !stall_warnings;

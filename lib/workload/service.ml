@@ -69,6 +69,7 @@ type result = {
   shed : int;
   completed : int;
   failed : int; (* admitted ops whose future was cancelled/poisoned *)
+  store_poisoned : int; (* Shard_map.stats.poisoned, summed over repeats *)
   degraded_writes : int;
   retries : int; (* resubmissions the bounded-retry path attempted *)
   max_stage : Overload.stage;
@@ -154,6 +155,7 @@ let run ?plan ?chaos ?watchdog ?(repeats = 1) (cfg : config) =
   let shed = Atomic.make 0 in
   let completed = Atomic.make 0 in
   let failed = Atomic.make 0 in
+  let store_poisoned = Atomic.make 0 in
   let degraded_writes = Atomic.make 0 in
   let retries = Atomic.make 0 in
   let max_stage = Atomic.make 0 in
@@ -300,7 +302,8 @@ let run ?plan ?chaos ?watchdog ?(repeats = 1) (cfg : config) =
         while SM.in_flight m > 0 && Sync.Mono.now () < deadline do
           ignore (SM.recover_all h);
           Sync.Backoff.once b
-        done
+        done;
+        ignore (Atomic.fetch_and_add store_poisoned (SM.stats m).SM.poisoned)
   in
   Overload.start ov;
   let measurement =
@@ -317,6 +320,7 @@ let run ?plan ?chaos ?watchdog ?(repeats = 1) (cfg : config) =
     shed = Atomic.get shed;
     completed = Atomic.get completed;
     failed = Atomic.get failed;
+    store_poisoned = Atomic.get store_poisoned;
     degraded_writes = Atomic.get degraded_writes;
     retries = Atomic.get retries;
     max_stage =

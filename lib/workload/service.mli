@@ -50,6 +50,11 @@ type result = {
   shed : int;  (** requests whose final fate was [Rejected] *)
   completed : int;  (** admitted ops whose result was forced *)
   failed : int;  (** admitted ops cancelled/poisoned (chaos) *)
+  store_poisoned : int;
+      (** futures the sharded store poisoned ([Shard_map.stats.poisoned],
+          summed over repeats; 0 for [Central]) — lease-expiry recovery
+          poisons a window lost in flight, so on [Sharded] an op can fail
+          without any kill *)
   degraded_writes : int;  (** writes refused while the store was degraded *)
   retries : int;  (** resubmissions attempted by the retry path *)
   max_stage : Overload.stage;  (** deepest stage any worker observed *)

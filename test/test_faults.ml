@@ -486,7 +486,7 @@ let run_orphan ?(count = orphan_ops) ~label ~handle_ops ~contents ~drain seed =
             (Printf.sprintf "%s: orphan %d poisoned" label j)
             true (Future.is_poisoned f))
     victim_futs;
-  (* The victim died before flushing: its window was tombstoned and
+  (* The victim died before flushing: its window was poisoned and
      discarded, so none of its values may have reached the structure. *)
   let cs = contents () in
   check_contents ~threads:3 ~label cs;
@@ -753,6 +753,30 @@ let test_medium_queue_cancel_in_window () =
     [ 1; 3 ]
     (Lockfree.Ms_queue.to_list (Fl.Medium_queue.shared q))
 
+(* A cancelled op in the middle of a weak window: its value must leave
+   with its future, so the value and future rings stay paired and only
+   the survivors' values are spliced. *)
+let test_weak_middle_cancel_keeps_pairs () =
+  let s = Fl.Weak_stack.create ~elimination:false () in
+  let h = Fl.Weak_stack.handle s in
+  let fs = List.map (Fl.Weak_stack.push h) [ 1; 2; 3 ] in
+  Alcotest.(check bool) "cancel middle push" true
+    (Future.cancel (List.nth fs 1));
+  Fl.Weak_stack.flush h;
+  Alcotest.(check (list int)) "stack holds the survivors" [ 3; 1 ]
+    (Lockfree.Treiber_stack.to_list (Fl.Weak_stack.shared s));
+  let q = Fl.Weak_queue.create () in
+  let h = Fl.Weak_queue.handle q in
+  let fs = List.map (Fl.Weak_queue.enqueue h) [ 1; 2; 3 ] in
+  Alcotest.(check bool) "cancel middle enqueue" true
+    (Future.cancel (List.nth fs 1));
+  Fl.Weak_queue.flush h;
+  List.iteri
+    (fun i f -> if i <> 1 then Alcotest.(check unit) "applied" () (Future.force f))
+    fs;
+  Alcotest.(check (list int)) "queue holds the survivors" [ 1; 3 ]
+    (Lockfree.Ms_queue.to_list (Fl.Weak_queue.shared q))
+
 let test_slack_abandon_drops_thunks () =
   let sl = Fl.Slack.create 8 in
   let ran = ref 0 in
@@ -905,6 +929,8 @@ let () =
             (with_clean_faults test_weak_stack_cancel_in_window);
           Alcotest.test_case "cancelled pop not eliminated" `Quick
             (with_clean_faults test_weak_stack_cancelled_pop_not_eliminated);
+          Alcotest.test_case "weak middle cancel keeps pairs" `Quick
+            (with_clean_faults test_weak_middle_cancel_keeps_pairs);
           Alcotest.test_case "medium queue cancel in window" `Quick
             (with_clean_faults test_medium_queue_cancel_in_window);
           Alcotest.test_case "slack abandon drops thunks" `Quick

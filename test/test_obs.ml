@@ -109,13 +109,13 @@ let test_histogram_record_percentiles () =
     (let p = H.percentile_value d 50.0 in
      p <= 1_000 && p > 750)
 
-(* Stats is now a re-export of the shared percentile math. *)
+(* The exact sample half answers for the benchmark tables' statistics. *)
 let test_stats_delegates () =
   let xs = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
-  Alcotest.(check (float 1e-9)) "median" 3.0 (Workload.Stats.median xs);
+  Alcotest.(check (float 1e-9)) "median" 3.0 (Obs.Histogram.median xs);
   Alcotest.(check (float 1e-9))
     "same percentile function" (H.percentile xs 90.0)
-    (Workload.Stats.percentile xs 90.0)
+    (Obs.Histogram.percentile xs 90.0)
 
 (* --------------------------- runtime switch --------------------------- *)
 

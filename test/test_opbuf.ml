@@ -24,8 +24,6 @@ let test_basics () =
   Alcotest.(check int) "pop_back newest" 5 (B.pop_back b);
   B.drop_front b 2;
   Alcotest.(check (list int)) "after drop_front" [ 3; 4 ] (B.to_list b);
-  B.set b 0 30;
-  Alcotest.(check (list int)) "after set" [ 30; 4 ] (B.to_list b);
   B.clear b;
   Alcotest.(check bool) "cleared" true (B.is_empty b)
 
@@ -84,31 +82,27 @@ let test_truncate_swap () =
   Alcotest.(check (list int)) "swap a" [ 99 ] (B.to_list a);
   Alcotest.(check (list int)) "swap b" [ 1; 2; 3 ] (B.to_list b)
 
-(* ------------------------ unit: tombstones --------------------------- *)
+(* ------------------------ unit: compaction --------------------------- *)
 
-let test_tombstones_basic () =
+let test_compact_basic () =
   let b = B.create () in
   for i = 1 to 5 do
     B.push b i
   done;
-  B.delete b 1;
-  B.delete b 3;
-  Alcotest.(check bool) "deleted flagged" true (B.deleted b 1);
-  Alcotest.(check bool) "live slot not flagged" false (B.deleted b 0);
-  Alcotest.(check int) "length keeps logical indices" 5 (B.length b);
-  Alcotest.(check int) "live counts survivors" 3 (B.live b);
-  Alcotest.(check (list int)) "to_list skips tombstones" [ 1; 3; 5 ]
-    (B.to_list b);
-  Alcotest.check_raises "get on deleted slot"
-    (Invalid_argument "Opbuf.get: deleted slot") (fun () ->
-      ignore (B.get b 1));
-  Alcotest.(check int) "neighbours untouched" 3 (B.get b 2);
+  Alcotest.(check int) "compact returns survivors" 3
+    (B.compact (fun x -> x mod 2 = 1) b);
+  Alcotest.(check int) "length shrank" 3 (B.length b);
+  Alcotest.(check (list int)) "to_list keeps order" [ 1; 3; 5 ] (B.to_list b);
+  Alcotest.(check int) "survivors re-indexed" 3 (B.get b 1);
+  Alcotest.check_raises "vacated slot out of range"
+    (Invalid_argument "Opbuf.get: index out of range") (fun () ->
+      ignore (B.get b 3));
   let fwd = ref [] in
   B.iter (fun x -> fwd := x :: !fwd) b;
-  Alcotest.(check (list int)) "iter skips tombstones" [ 1; 3; 5 ]
+  Alcotest.(check (list int)) "iter sees survivors" [ 1; 3; 5 ]
     (List.rev !fwd)
 
-let test_tombstones_compact () =
+let test_compact_wrap () =
   let b = B.create ~capacity:4 () in
   (* Offset head so compaction crosses the ring's physical wrap. *)
   for i = 0 to 2 do
@@ -118,107 +112,104 @@ let test_tombstones_compact () =
   for i = 1 to 7 do
     B.push b i
   done;
-  B.delete b 0;
-  B.delete b 2;
-  B.delete b 6;
-  Alcotest.(check int) "compact returns survivors" 4 (B.compact b);
+  let drop = [ 1; 3; 7 ] in
+  Alcotest.(check int) "compact returns survivors" 4
+    (B.compact (fun x -> not (List.mem x drop)) b);
   Alcotest.(check int) "length shrank" 4 (B.length b);
   Alcotest.(check (list int)) "order preserved" [ 2; 4; 5; 6 ] (B.to_list b);
-  (* Survivors are real elements again: indexable, poppable. *)
   Alcotest.(check int) "get 0" 2 (B.get b 0);
   Alcotest.(check int) "pop_back" 6 (B.pop_back b);
-  (* Compacting a clean buffer is the identity. *)
-  Alcotest.(check int) "idempotent" 3 (B.compact b);
+  (* Compacting when everything is kept is the identity. *)
+  Alcotest.(check int) "idempotent" 3 (B.compact (fun _ -> true) b);
   Alcotest.(check (list int)) "unchanged" [ 2; 4; 5 ] (B.to_list b)
 
-let test_tombstones_pop_back_skips () =
+let test_compact_pop_back () =
   let b = B.create () in
   for i = 1 to 4 do
     B.push b i
   done;
-  B.delete b 3;
-  B.delete b 2;
-  Alcotest.(check int) "pop_back skips trailing tombstones" 2 (B.pop_back b);
-  Alcotest.(check int) "length consumed the tombstones" 1 (B.length b);
-  B.delete b 0;
-  Alcotest.check_raises "all-tombstone buffer pops empty"
+  ignore (B.compact (fun x -> x < 3) b : int);
+  Alcotest.(check int) "pop_back takes the newest survivor" 2 (B.pop_back b);
+  Alcotest.(check int) "one left" 1 (B.length b);
+  Alcotest.(check int) "compacting everything away" 0
+    (B.compact (fun _ -> false) b);
+  Alcotest.check_raises "emptied buffer pops empty"
     (Invalid_argument "Opbuf.pop_back: empty") (fun () ->
       ignore (B.pop_back b))
 
-let test_tombstones_parallel_rings () =
-  (* The weak-stack flush discipline: two index-aligned rings, a cancelled
-     op tombstoned at the same index in both, then both compacted — the
-     pairing of survivors must be preserved. *)
+let test_compact_parallel_rings () =
+  (* The weak-stack flush discipline: two index-aligned rings, values in
+     one and their ops' fates in the other, compacted in lockstep on the
+     second — the pairing of survivors must be preserved. *)
   let vals = B.create () and tags = B.create () in
   for i = 1 to 6 do
     B.push vals (i * 10);
     B.push tags (Printf.sprintf "t%d" i)
   done;
-  List.iter
-    (fun i ->
-      B.delete vals i;
-      B.delete tags i)
-    [ 1; 4 ];
-  Alcotest.(check int) "vals compact" 4 (B.compact vals);
-  Alcotest.(check int) "tags compact" 4 (B.compact tags);
+  let cancelled = [ "t2"; "t5" ] in
+  Alcotest.(check int) "lockstep compact" 4
+    (B.compact2 (fun tag -> not (List.mem tag cancelled)) vals tags);
+  Alcotest.(check int) "vals length" 4 (B.length vals);
+  Alcotest.(check int) "tags length" 4 (B.length tags);
   for i = 0 to B.length vals - 1 do
     let v = B.get vals i and tag = B.get tags i in
     Alcotest.(check string)
       (Printf.sprintf "pair %d aligned" i)
       (Printf.sprintf "t%d" (v / 10))
       tag
-  done
+  done;
+  B.push vals 70;
+  Alcotest.check_raises "misaligned rings refused"
+    (Invalid_argument "Opbuf.compact2: lengths differ") (fun () ->
+      ignore (B.compact2 (fun _ -> true) vals tags))
 
 (* The property version of the same invariant: an arbitrary interleaving
-   of pushes, same-index deletes, and compactions applied to two rings —
+   of pushes and lockstep compactions applied to two rings —
    deliberately created with different capacities, so growth and
    wraparound happen at different times — must keep them index-aligned:
-   equal lengths, identical tombstone positions, and every live slot
-   still holding its partner's value. This is the alignment contract the
-   weak-stack flush path relies on when it cancels a window entry. *)
+   equal lengths, every slot still holding its partner's value, and the
+   survivors those of a list model. Each compaction drops the pairs whose
+   value is divisible by a divisor the script picks. This is the alignment contract the weak stack's and weak
+   queue's flushes rely on when they withdraw cancelled ops. *)
 let prop_parallel_rings_aligned =
-  QCheck.Test.make ~name:"parallel rings aligned under delete/compact"
-    ~count:400
+  QCheck.Test.make ~name:"parallel rings aligned (lockstep)" ~count:400
     QCheck.(list (pair (int_bound 5) (int_bound 30)))
     (fun script ->
       let vals = B.create ~capacity:2 () in
       let tags = B.create ~capacity:16 () in
       let counter = ref 0 in
+      let model = ref [] in
       let aligned () =
         B.length vals = B.length tags
-        && B.live vals = B.live tags
+        && B.to_list vals = !model
         &&
         let ok = ref true in
         for i = 0 to B.length vals - 1 do
-          if B.deleted vals i <> B.deleted tags i then ok := false
-          else if
-            (not (B.deleted vals i)) && B.get tags i <> B.get vals i * 10
-          then ok := false
+          if B.get tags i <> B.get vals i * 10 then ok := false
         done;
         !ok
       in
       let step (kind, arg) =
         match kind with
-        | 0 | 1 | 2 ->
-            (* Bias toward pushes so deletes and compactions have
-               something to chew on. *)
+        | 0 | 1 | 2 | 3 ->
+            (* Bias toward pushes so compactions have something to chew
+               on. *)
             incr counter;
             B.push vals !counter;
             B.push tags (!counter * 10);
-            true
-        | 3 | 4 ->
-            let len = B.length vals in
-            if len > 0 then begin
-              let i = arg mod len in
-              B.delete vals i;
-              B.delete tags i
-            end;
-            true
-        | _ -> B.compact vals = B.compact tags
+            model := !model @ [ !counter ]
+        | _ ->
+            let d = 2 + (arg mod 4) in
+            model := List.filter (fun v -> v mod d <> 0) !model;
+            let k = B.compact2 (fun tag -> tag / 10 mod d <> 0) vals tags in
+            if k <> List.length !model then
+              QCheck.Test.fail_report "compact2 returned the wrong length"
       in
-      List.for_all (fun op -> step op && aligned ()) script
-      && B.compact vals = B.compact tags
-      && aligned ())
+      List.for_all
+        (fun op ->
+          step op;
+          aligned ())
+        script)
 
 (* -------------------- qcheck: list-model parity ---------------------- *)
 
@@ -487,16 +478,14 @@ let () =
           Alcotest.test_case "truncate + swap" `Quick test_truncate_swap;
         ]
         @ qsuite [ prop_model; prop_fifo ] );
-      ( "tombstones",
+      ( "compaction",
         [
-          Alcotest.test_case "delete/deleted/live" `Quick
-            test_tombstones_basic;
-          Alcotest.test_case "compact across wrap" `Quick
-            test_tombstones_compact;
-          Alcotest.test_case "pop_back skips" `Quick
-            test_tombstones_pop_back_skips;
+          Alcotest.test_case "keep/order/iter" `Quick test_compact_basic;
+          Alcotest.test_case "compact across wrap" `Quick test_compact_wrap;
+          Alcotest.test_case "compact then pop_back" `Quick
+            test_compact_pop_back;
           Alcotest.test_case "parallel rings stay aligned" `Quick
-            test_tombstones_parallel_rings;
+            test_compact_parallel_rings;
         ]
         @ qsuite [ prop_parallel_rings_aligned ] );
       ( "allocation",

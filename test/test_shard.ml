@@ -186,6 +186,25 @@ let test_degraded_find_and_expiry_recovery () =
   Alcotest.(check bool) "ownership recovered at lease expiry" true
     (s.SM.recovers >= 1)
 
+(* A window holding only cancelled ops has nothing left to apply: it is
+   withdrawn by the ops' fate and cleared without asking the live foreign
+   owner for the bucket. *)
+let test_cancelled_window_no_transfer () =
+  let m : int SM.t = SM.create ~buckets:1 ~lease:1.0 ~grant_timeout:0.001 () in
+  let a = SM.handle m in
+  ignore (SM.insert a 1 10 : bool Future.t);
+  SM.flush a;
+  let b = SM.handle m in
+  let f_ins = SM.insert b 2 20 in
+  let f_find = SM.find b 1 in
+  Alcotest.(check bool) "insert cancelled" true (Future.cancel f_ins);
+  Alcotest.(check bool) "find cancelled" true (Future.cancel f_find);
+  with_timeout "cancelled-only flush" (fun () -> SM.flush b);
+  Alcotest.(check int) "window withdrawn" 0 (SM.pending_count b);
+  Alcotest.(check int) "no transfer requested" 0 (SM.stats m).SM.requests;
+  Alcotest.(check (option int)) "cancelled insert never applied" None
+    (SM.get m 2)
+
 (* Degraded reads during a shed window: with the overload controller at
    Shed and a bucket still owned by a handle that never services (in
    flight from the requester's point of view), finds that the admission
@@ -464,6 +483,8 @@ let () =
             test_shard_bindings;
           Alcotest.test_case "degraded find + expiry recovery" `Quick
             test_degraded_find_and_expiry_recovery;
+          Alcotest.test_case "cancelled-only window, no transfer" `Quick
+            test_cancelled_window_no_transfer;
           Alcotest.test_case "degraded finds during a shed window" `Quick
             test_degraded_find_during_shed_window;
           Alcotest.test_case "two-domain transfer (2 domains)" `Slow
