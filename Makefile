@@ -10,10 +10,10 @@ test-force:
 	dune runtest --force --no-buffer
 
 bench-quick:
-	dune exec bench/main.exe
+	dune exec bin/flbench.exe -- all --quick
 
 bench-full:
-	dune exec bench/main.exe -- all --ops 20000 --repeats 3
+	dune exec bin/flbench.exe -- all --ops 20000 --repeats 3
 
 # Machine-readable benchmark records (ops/s, CAS/op, minor words/op)
 # under results/, stamped with the git revision. micro runs with --obs
@@ -21,8 +21,8 @@ bench-full:
 # mean splice batch, elimination hit rate).
 bench-json:
 	mkdir -p results
-	dune exec bench/main.exe -- micro --obs --json results/BENCH_micro.json
-	dune exec bench/main.exe -- fig4 --quick --json results/BENCH_fig4.json
+	dune exec bin/flbench.exe -- micro --obs --json results/BENCH_micro.json
+	dune exec bin/flbench.exe -- fig4 --quick --json results/BENCH_fig4.json
 
 # Machine-readable self-tuning run: the controller against hand-tuned
 # statics over (threads x steady/bursty) contention regimes. The
@@ -32,7 +32,7 @@ bench-json:
 # are then schema-checked (which re-verifies both gates offline).
 bench-adapt-json:
 	mkdir -p results
-	dune exec bench/main.exe -- adapt --ops 100000 --repeats 5 \
+	dune exec bin/flbench.exe -- adapt --ops 100000 --repeats 5 \
 		--threads 1,2 --json results/BENCH_adapt.json \
 		--assert-tolerance 5 --assert-beats
 	dune exec bin/validate_bench.exe -- results/BENCH_adapt.json \
@@ -43,7 +43,7 @@ bench-adapt-json:
 # schema-check it.
 bench-trace:
 	mkdir -p results
-	dune exec bench/main.exe -- trace --trace results/TRACE_probe.json
+	dune exec bin/flbench.exe -- trace --trace results/TRACE_probe.json
 	dune exec bin/validate_trace.exe -- results/TRACE_probe.json \
 		--min-domains 2 --require future.created --require splice. \
 		--require elim. --require combiner.
@@ -55,14 +55,14 @@ bench-trace:
 CHAOS_SEED ?= 2014
 chaos:
 	FLDS_FAULTS=$(CHAOS_SEED) dune runtest --force --no-buffer
-	dune exec bench/main.exe -- chaos --quick --seed $(CHAOS_SEED)
+	dune exec bin/flbench.exe -- chaos --quick --seed $(CHAOS_SEED)
 
 # Machine-readable chaos run: kill-enabled seeded faults, watchdog on,
 # recording killed / takeovers / retired / poisoned / recovered per
 # (impl, threads) cell under results/.
 bench-chaos-json:
 	mkdir -p results
-	dune exec bench/main.exe -- chaos --ops 2000 --repeats 4 \
+	dune exec bin/flbench.exe -- chaos --ops 2000 --repeats 4 \
 		--threads 1,2,4 --seed $(CHAOS_SEED) \
 		--json results/BENCH_chaos.json
 
@@ -72,7 +72,7 @@ bench-chaos-json:
 # transfer counters (requests/ships/acks/recovers/poisoned) per cell.
 bench-shard-json:
 	mkdir -p results
-	dune exec bench/main.exe -- shard --ops 2000 --repeats 2 \
+	dune exec bin/flbench.exe -- shard --ops 2000 --repeats 2 \
 		--threads 1,2,4 --seed $(CHAOS_SEED) \
 		--json results/BENCH_shard.json
 
@@ -84,7 +84,7 @@ bench-shard-json:
 # it. validate_bench re-verifies those gates offline on the records.
 bench-service-json:
 	mkdir -p results
-	dune exec bench/main.exe -- service --ops 8000 --seed $(CHAOS_SEED) \
+	dune exec bin/flbench.exe -- service --ops 8000 --seed $(CHAOS_SEED) \
 		--assert-service --json results/BENCH_service.json
 	dune exec bin/validate_bench.exe -- results/BENCH_service.json \
 		--bench service --min-records 11 \
@@ -97,12 +97,12 @@ bench-service-json:
 # conformance panel (monitor throughput + sampling overhead, 10% gate).
 conformance-smoke:
 	mkdir -p results
-	dune exec bench/main.exe -- service --ops 2000 --repeats 1 \
+	dune exec bin/flbench.exe -- service --ops 2000 --repeats 1 \
 		--threads 1,2,4 --conformance-stride 8 \
 		--trace results/TRACE_conformance.json
 	dune exec bin/validate_trace.exe -- results/TRACE_conformance.json \
 		--conformance --min-domains 2 --require op.enq --require op.deq
-	dune exec bench/main.exe -- conformance --quick --assert-service
+	dune exec bin/flbench.exe -- conformance --quick --assert-service
 
 # Mega-history fuzz: one uncapped single-phase program (about 100k
 # recorded ops at the default 2000 steps x 3 threads x ~17 ops/step)

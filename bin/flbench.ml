@@ -1,12 +1,16 @@
-(* flbench — command-line driver for single experiments.
+(* flbench — the command-line driver for every experiment.
 
-   The bench/main.exe harness regenerates the paper's figures wholesale;
-   this tool runs one configuration at a time, which is handier for
-   exploration and scripting:
+   The panel subcommands regenerate the paper's Section 5 evaluation and
+   the extensions, one panel per call (panels.ml); the rest run one
+   configuration at a time, which is handier for exploration and
+   scripting:
 
+     flbench fig4 --quick --json BENCH_fig4.json
+     flbench service --quick --assert-service
      flbench list
      flbench run --structure stack --impl weak --threads 4 --slack 20
      flbench check --structure queue --impl medium --rounds 20
+     flbench fuzz --seed 2014 --iters 5
 *)
 
 module Future = Futures.Future
@@ -73,102 +77,27 @@ let slack_arg =
 let repeats_arg =
   Arg.(value & opt int 3 & info [ "r"; "repeats" ] ~docv:"N" ~doc:"Repeats.")
 
-let measure_stack impl ~threads ~ops ~slack ~repeats =
-  Workload.Runner.run ~threads ~repeats ~ops_per_thread:ops
-    ~setup:impl.R.s_make
-    ~worker:(fun inst ~thread ~ops ->
-      let o = inst.R.s_handle () in
-      let rng = Workload.Rng.create ~seed:1 ~stream:thread in
-      let sl = Fl.Slack.create slack in
-      for _ = 1 to ops do
-        match Workload.Distribution.stack_op rng with
-        | Workload.Distribution.Push v ->
-            let f = o.R.s_push v in
-            Fl.Slack.note sl (fun () -> Future.force f)
-        | Workload.Distribution.Pop ->
-            let f = o.R.s_pop () in
-            Fl.Slack.note sl (fun () -> ignore (Future.force f))
-      done;
-      Fl.Slack.drain sl;
-      o.R.s_flush ())
-    ~cas_total:(fun i -> i.R.s_cas_count ())
-    ~teardown:(fun i -> i.R.s_drain ())
-    ()
-
-let measure_queue impl ~threads ~ops ~slack ~repeats =
-  Workload.Runner.run ~threads ~repeats ~ops_per_thread:ops
-    ~setup:impl.R.q_make
-    ~worker:(fun inst ~thread ~ops ->
-      let o = inst.R.q_handle () in
-      let rng = Workload.Rng.create ~seed:1 ~stream:thread in
-      let sl = Fl.Slack.create slack in
-      for _ = 1 to ops do
-        match Workload.Distribution.queue_op rng with
-        | Workload.Distribution.Enq v ->
-            let f = o.R.q_enq v in
-            Fl.Slack.note sl (fun () -> Future.force f)
-        | Workload.Distribution.Deq ->
-            let f = o.R.q_deq () in
-            Fl.Slack.note sl (fun () -> ignore (Future.force f))
-      done;
-      Fl.Slack.drain sl;
-      o.R.q_flush ())
-    ~cas_total:(fun i -> i.R.q_cas_count ())
-    ~teardown:(fun i -> i.R.q_drain ())
-    ()
-
-let measure_list impl ~threads ~ops ~slack ~repeats =
-  let key_range = Workload.Distribution.default_key_range in
-  Workload.Runner.run ~threads ~repeats ~ops_per_thread:ops
-    ~setup:(fun () ->
-      let inst = impl.R.l_make () in
-      let o = inst.R.l_handle () in
-      (* Insert in ascending order so every implementation starts from the
-         same node layout; combining-based implementations would otherwise
-         get a cache-locality head start from their own bulk prefill. *)
-      let keys =
-        List.sort compare
-          (Workload.Distribution.initial_keys ~key_range ~seed:2014 ())
-      in
-      let fs = List.map (fun k -> o.R.l_insert k) keys in
-      o.R.l_flush ();
-      inst.R.l_drain ();
-      List.iter (fun f -> ignore (Future.force f)) fs;
-      inst)
-    ~worker:(fun inst ~thread ~ops ->
-      let o = inst.R.l_handle () in
-      let rng = Workload.Rng.create ~seed:1 ~stream:thread in
-      let sl = Fl.Slack.create slack in
-      for _ = 1 to ops do
-        let note f = Fl.Slack.note sl (fun () -> ignore (Future.force f)) in
-        match Workload.Distribution.list_op ~key_range rng with
-        | Workload.Distribution.Insert k -> note (o.R.l_insert k)
-        | Workload.Distribution.Remove k -> note (o.R.l_remove k)
-        | Workload.Distribution.Contains k -> note (o.R.l_contains k)
-      done;
-      Fl.Slack.drain sl;
-      o.R.l_flush ())
-    ~cas_total:(fun i -> i.R.l_cas_count ())
-    ~teardown:(fun i -> i.R.l_drain ())
-    ()
-
 let run_cmd =
-  let doc = "Run one benchmark configuration and print the measurement." in
+  let doc =
+    "Run one cell of a figure panel (one implementation, one thread \
+     count, one slack) and print the measurement."
+  in
   let run structure impl threads ops slack repeats =
-    let m =
+    let cfg =
+      { Panels.default_config with threads = [ threads ]; ops; repeats }
+    in
+    let column =
       try
         match structure with
-      | "stack" ->
-          measure_stack (R.find_stack impl) ~threads ~ops ~slack ~repeats
-      | "queue" ->
-          measure_queue (R.find_queue impl) ~threads ~ops ~slack ~repeats
-        | "list" ->
-            measure_list (R.find_set impl) ~threads ~ops ~slack ~repeats
+        | "stack" -> Panels.stack_column cfg (R.find_stack impl)
+        | "queue" -> Panels.queue_column cfg (R.find_queue impl)
+        | "list" -> Panels.set_column cfg (R.find_set impl)
         | _ -> assert false
       with Not_found ->
         Printf.eprintf "error: %s has no %s implementation\n" structure impl;
         exit 2
     in
+    let m = column.Panels.measure ~slack ~threads in
     Printf.printf
       "%s/%s threads=%d ops=%d slack=%d: %s mean (+/- %s), %.0f ops/s, %.2f \
        CAS/op\n"
@@ -476,7 +405,196 @@ let fuzz_cmd =
       $ fuzz_phases_arg $ fuzz_steps_arg $ fuzz_mega_arg $ fuzz_out_arg
       $ fuzz_replay_arg)
 
+(* ----------------------------- panels ------------------------------ *)
+
+(* Every panel flag is a term yielding an update of the panel config. A
+   command applies its flags' updates, in order, to the --quick/--full
+   preset, so explicit sizes win whatever their position on the line. *)
+
+let set names kind ~docv ~doc f =
+  Term.(
+    const (fun v cfg -> Option.fold ~none:cfg ~some:(f cfg) v)
+    $ Arg.(value & opt (some kind) None & info names ~docv ~doc))
+
+let switch name ~doc f =
+  let on = Arg.(value & flag & info [ name ] ~doc) in
+  Term.(const (fun on cfg -> if on then f cfg else cfg) $ on)
+
+let preset =
+  Arg.(
+    value
+    & vflag Panels.default_config
+        [
+          ( Panels.quick_config,
+            info [ "quick" ]
+              ~doc:"Start from small sizes for a fast smoke run." );
+          ( Panels.full_config,
+            info [ "full" ]
+              ~doc:"Start from the paper's 100K ops per thread." );
+        ])
+
+(* Positive integers, alone or comma-separated. Unlike [Arg.list int],
+   an empty element (or list) is an error rather than silently dropped;
+   zero or a negative is an error rather than an exception mid-run. *)
+let positive s =
+  match int_of_string_opt s with Some n when n > 0 -> Some n | _ -> None
+
+let pos =
+  let parse s =
+    Option.to_result (positive s)
+      ~none:(`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let ints =
+  let parse s =
+    let xs = List.map positive (String.split_on_char ',' s) in
+    if List.mem None xs then
+      Error (`Msg (Printf.sprintf "%S is not a list of positive integers" s))
+    else Ok (List.map Option.get xs)
+  in
+  let comma f () = Format.pp_print_char f ',' in
+  Arg.conv (parse, Format.(pp_print_list ~pp_sep:comma pp_print_int))
+
+let sizes =
+  [
+    set [ "ops" ] pos ~docv:"N" ~doc:"Operations per thread."
+      (fun c ops -> { c with Panels.ops });
+    set [ "repeats" ] pos ~docv:"N" ~doc:"Repeats per cell."
+      (fun c repeats -> { c with Panels.repeats });
+    set [ "threads" ] ints ~docv:"A,B,C"
+      ~doc:"Thread counts, one table row each."
+      (fun c threads -> { c with Panels.threads });
+  ]
+
+let slacks =
+  set [ "slacks" ] ints ~docv:"A,B,C" ~doc:"Slacks, one panel each."
+    (fun c slacks -> { c with Panels.slacks })
+
+let csv =
+  switch "csv" ~doc:"Print tables as CSV." (fun c ->
+      { c with Panels.csv = true })
+
+let json =
+  set [ "json" ] Arg.string ~docv:"PATH"
+    ~doc:"Also write every measurement to PATH as BENCH_*.json records."
+    (fun c path -> { c with Panels.json = Some (Json.sink path) })
+
+let seed =
+  set [ "seed" ] Arg.int ~docv:"N"
+    ~doc:"Seed of the injected faults and the service arrivals (default 2014)."
+    (fun c chaos_seed -> { c with Panels.chaos_seed })
+
+let observe =
+  [
+    switch "obs"
+      ~doc:
+        "Turn the observability subsystem on (same as FLDS_OBS=1); adds an \
+         \"obs\" block to --json."
+      (fun c ->
+        Obs.set_enabled true;
+        c);
+    set [ "trace" ] Arg.string ~docv:"PATH"
+      ~doc:
+        "Implies --obs; at exit export the flight recorder to PATH as Chrome \
+         trace_event JSON."
+      (fun c path ->
+        Obs.set_enabled true;
+        { c with Panels.trace_path = Some path });
+    (* Conformance traces must be lossless (a dropped completion event
+       reads as a violation or an uncertifiable trace), so rings created
+       from here on get room for every event of a smoke-sized run. *)
+    set [ "conformance-stride" ] Arg.int ~docv:"N"
+      ~doc:
+        "Implies --obs; record completed-op events for values with residue \
+         0 mod N (same as FLDS_OBS_CONFORMANCE=1/N)."
+      (fun c n ->
+        Obs.set_enabled true;
+        Obs.set_conformance_stride n;
+        Obs.Trace.set_capacity 65_536;
+        c);
+  ]
+
+let assert_tol =
+  set [ "assert-tolerance" ] Arg.float ~docv:"PCT"
+    ~doc:
+      "Exit 1 when the adaptive column is more than PCT% slower than the \
+       best static on any regime."
+    (fun c tol -> { c with Panels.assert_tol = Some tol })
+
+let assert_beats =
+  switch "assert-beats"
+    ~doc:"Exit 1 unless the adaptive totals beat the default pass budget."
+    (fun c -> { c with Panels.assert_beats = true })
+
+let assert_service =
+  switch "assert-service" ~doc:"Exit 1 when a service claim fails."
+    (fun c -> { c with Panels.assert_service = true })
+
+let config ?(base = preset) flags =
+  List.fold_left
+    (fun acc f -> Term.(const (fun c f -> f c) $ acc $ f))
+    base flags
+
+let panel name ~doc ?base flags run =
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ config ?base flags)
+
+let plain f cfg =
+  f cfg;
+  Panels.finish cfg ~failures:0
+
+let gated f cfg = Panels.finish cfg ~failures:(f cfg)
+
+let panel_cmds =
+  let figure = sizes @ [ slacks; csv; json ] @ observe in
+  let sized = sizes @ [ csv; json ] @ observe in
+  let unsized = Term.const Panels.default_config in
+  [
+    panel "fig4" ~doc:"Figure 4: stacks, 50% push / 50% pop." figure
+      (plain Panels.fig4);
+    panel "fig5" ~doc:"Figure 5: queues, 50% enq / 50% deq." figure
+      (plain Panels.fig5);
+    panel "fig6"
+      ~doc:"Figure 6: linked lists, 20% ins / 20% rem / 60% ctn (ops /10)."
+      figure (plain Panels.fig6);
+    panel "ablation" ~doc:"DESIGN.md ablations A-D."
+      (sizes @ [ slacks; csv ] @ observe)
+      (plain Panels.ablation);
+    panel "micro" ~doc:"Single-thread op cost at slack 1 (paper §5.1)."
+      ~base:unsized (json :: observe) (plain Panels.micro);
+    panel "cas" ~doc:"Weak-queue CAS-per-op correlation (paper §5.2)."
+      (sizes @ [ slacks ] @ observe)
+      (plain Panels.cas_experiment);
+    panel "extra" ~doc:"Extensions: Zipf-keyed lists, asymmetric queue mix."
+      (sizes @ [ slacks; csv ] @ observe)
+      (plain Panels.extra);
+    panel "shard"
+      ~doc:"Sharded store vs the central map, plus kills per transfer step."
+      (seed :: sized) (plain Panels.shard_bench);
+    panel "chaos" ~doc:"Seeded fault injection and the recovery counters."
+      (seed :: sized) (plain Panels.chaos_bench);
+    panel "trace" ~doc:"Cross-domain probe for the flight recorder."
+      ~base:unsized observe
+      (fun cfg -> Panels.finish (Panels.trace_probe cfg) ~failures:0);
+    panel "adapt" ~doc:"Self-tuning controller vs hand-tuned statics."
+      (assert_tol :: assert_beats :: sized)
+      (gated Panels.adapt);
+    panel "service"
+      ~doc:"Open-loop service saturation sweep plus overload chaos."
+      (seed :: assert_service :: sized)
+      (gated Panels.service_bench);
+    panel "conformance"
+      ~doc:"Stream-monitor throughput and conformance sampling overhead."
+      ((assert_service :: sizes) @ (json :: observe))
+      (gated Panels.conformance_bench);
+    panel "all" ~doc:"fig4-6, ablation, cas, extra and micro." figure
+      (plain Panels.all);
+  ]
+
 let () =
   let doc = "Futures-based shared data structures (PODC 2014 reproduction)." in
   let info = Cmd.info "flbench" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval (Cmd.group info [ list_cmd; run_cmd; check_cmd; fuzz_cmd ]))
+  exit
+    (Cmd.eval
+       (Cmd.group info
+          ([ list_cmd; run_cmd; check_cmd; fuzz_cmd ] @ panel_cmds)))

@@ -1,4 +1,5 @@
-(* The JSON value reader shared by validate_bench and validate_trace.
+(* The BENCH_*.json record format: the writer flbench's panels append
+   to, and the value reader validate_bench and validate_trace share.
    Hand-rolled: the repo deliberately has no JSON dependency. [parse]
    reads exactly one value (surrounding whitespace allowed) and raises
    [Bad] with the byte offset of the first error. *)
@@ -157,3 +158,72 @@ let parse (s : string) : json =
   skip_ws ();
   if !pos <> n then fail "trailing content after the value";
   v
+
+(* ------------------------------ writer ------------------------------ *)
+
+(* Every measurement a panel takes while [--json PATH] is set is added to
+   the sink as one flat record — bench, impl, slack, domains, then
+   numbers — and the sink is written as one document at exit, stamped
+   with the git revision and the host (nproc, OCaml version). *)
+
+type sink = { path : string; mutable records : string list }
+
+let sink path = { path; records = [] }
+
+let escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let num x = if Float.is_finite x then Printf.sprintf "%.6g" x else "null"
+
+let add sink ~bench ~impl ~slack ~domains fields =
+  let extras =
+    List.map (fun (k, v) -> Printf.sprintf ",%S:%s" k (num v)) fields
+  in
+  sink.records <-
+    Printf.sprintf
+      "{\"bench\":\"%s\",\"impl\":\"%s\",\"slack\":%d,\"domains\":%d%s}"
+      (escape bench) (escape impl) slack domains (String.concat "" extras)
+    :: sink.records
+
+let git_rev () =
+  try
+    let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+    let rev = try input_line ic with End_of_file -> "unknown" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> rev
+    | _ -> "unknown"
+  with _ -> "unknown"
+
+(* [obs] is an optional block of pre-rendered (key, JSON value) pairs. *)
+let write ?(obs = []) sink =
+  let obs =
+    if obs = [] then ""
+    else
+      Printf.sprintf ",\n  \"obs\": {\n    %s\n  }"
+        (String.concat ",\n    "
+           (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) obs))
+  in
+  let oc = open_out sink.path in
+  Printf.fprintf oc
+    "{\n  \"generated_by\": \"flbench\",\n  \"git_rev\": \"%s\",\n\
+    \  \"host\": {\"nproc\": %d, \"ocaml_version\": \"%s\"},\n\
+    \  \"records\": [\n    %s\n  ]%s\n}\n"
+    (escape (git_rev ()))
+    (Domain.recommended_domain_count ())
+    (escape Sys.ocaml_version)
+    (String.concat ",\n    " (List.rev sink.records))
+    obs;
+  close_out oc;
+  Printf.eprintf "wrote %s (%d records)\n%!" sink.path
+    (List.length sink.records)

@@ -1,11 +1,14 @@
 (* validate_bench — schema check for the flat benchmark JSON that
-   bench/main.exe --json writes (CI's bench smoke jobs run this on fresh
-   output; the committed results/BENCH_*.json files must pass it too).
-   Verifies:
+   flbench's panels write with --json (CI runs this on the records each
+   job writes; the committed results/BENCH_*.json files must pass it
+   too). Verifies:
 
      - the file is non-empty, well-formed JSON with string
        [generated_by] and [git_rev] fields and a [records] array
        ([--min-records N] raises the floor);
+     - a [host] field, when present, is an object with a positive
+       integer [nproc] and a non-empty string [ocaml_version] (records
+       written before the writer stamped the host lack it);
      - every record is an object carrying bench (non-empty string),
        impl (non-empty string), integer slack and domains, and only
        finite numbers elsewhere (the writer emits null for a non-finite
@@ -105,6 +108,16 @@ let () =
   in
   let (_ : string) = str_field "generated_by" in
   let (_ : string) = str_field "git_rev" in
+  (match List.assoc_opt "host" top with
+  | None -> ()
+  | Some (Obj h) -> (
+      (match List.assoc_opt "nproc" h with
+      | Some (Num n) when n >= 1.0 && Float.is_integer n -> ()
+      | _ -> fail "host: nproc not a positive integer");
+      match List.assoc_opt "ocaml_version" h with
+      | Some (Str s) when s <> "" -> ()
+      | _ -> fail "host: missing or empty \"ocaml_version\"")
+  | Some _ -> fail "host not an object");
   let records =
     match List.assoc_opt "records" top with
     | Some (Arr rs) -> rs
