@@ -439,12 +439,7 @@ let preset =
 let positive s =
   match int_of_string_opt s with Some n when n > 0 -> Some n | _ -> None
 
-let pos =
-  let parse s =
-    Option.to_result (positive s)
-      ~none:(`Msg (Printf.sprintf "%S is not a positive integer" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
+let pos = Cli.int_at_least 1
 
 let ints =
   let parse s =
@@ -515,18 +510,6 @@ let observe =
         c);
   ]
 
-let assert_tol =
-  set [ "assert-tolerance" ] Arg.float ~docv:"PCT"
-    ~doc:
-      "Exit 1 when the adaptive column is more than PCT% slower than the \
-       best static on any regime."
-    (fun c tol -> { c with Panels.assert_tol = Some tol })
-
-let assert_beats =
-  switch "assert-beats"
-    ~doc:"Exit 1 unless the adaptive totals beat the default pass budget."
-    (fun c -> { c with Panels.assert_beats = true })
-
 let assert_service =
   switch "assert-service" ~doc:"Exit 1 when a service claim fails."
     (fun c -> { c with Panels.assert_service = true })
@@ -576,9 +559,6 @@ let panel_cmds =
     panel "trace" ~doc:"Cross-domain probe for the flight recorder."
       ~base:unsized observe
       (fun cfg -> Panels.finish (Panels.trace_probe cfg) ~failures:0);
-    panel "adapt" ~doc:"Self-tuning controller vs hand-tuned statics."
-      (assert_tol :: assert_beats :: sized)
-      (gated Panels.adapt);
     panel "service"
       ~doc:"Open-loop service saturation sweep plus overload chaos."
       (seed :: assert_service :: sized)

@@ -40,8 +40,6 @@ type config = {
   trace_path : string option;
       (** [--trace]: export the flight recorder here at exit *)
   chaos_seed : int;  (** [--seed] of the chaos, shard and service panels *)
-  assert_tol : float option;  (** adapt gates, see [adapt] *)
-  assert_beats : bool;
   assert_service : bool;  (** service and conformance gates *)
 }
 
@@ -55,8 +53,6 @@ let default_config =
     json = None;
     trace_path = None;
     chaos_seed = 2014;
-    assert_tol = None;
-    assert_beats = false;
     assert_service = false;
   }
 
@@ -1152,360 +1148,6 @@ let shard_bench cfg =
     cfg.threads;
   print_table cfg kill_table
 
-(* ------------------------------ adapt ------------------------------- *)
-
-(* Self-tuning controller vs hand-tuned static configurations, swept
-   across contention regimes (thread counts x steady/bursty arrivals).
-   Two panels:
-
-   - queue-flatcomb: static combining pass budgets (1 = the default, 4,
-     16) against the controller retuning the budget and scan limit live;
-   - stack-weak-slack: static slack windows (1, 10, 100) against the
-     controller retuning each worker's window from a deliberately-wrong
-     start of 8.
-
-   Every column, static included, runs with the recorder on: the
-   comparison isolates the knob policy from the (sampled, cheap)
-   telemetry tax the controller needs anyway. [--assert-tolerance pct]
-   turns the match/beat criteria into an exit code for CI. *)
-
-module Tn = Fl.Tunable
-module Ctl = Tune.Controller
-
-(* Epoch choice balances two costs on an oversubscribed host: shorter
-   epochs converge faster (hysteresis 2 needs ~2 epochs per doubling),
-   but every controller wake preempts a worker — at 0.5 ms epochs that
-   tax alone is measurable against a single pinned worker. 2 ms keeps
-   convergence inside the warm-up run while the steady-state wake tax
-   stays in the noise. *)
-let adapt_epoch = 0.002
-
-let set_dial dials kind v =
-  List.iter (fun (d : Tn.dial) -> if d.Tn.kind = kind then d.Tn.set v) dials
-
-let ns_per_op (m : Workload.Runner.measurement) =
-  1e9 /. m.Workload.Runner.throughput
-
-let adapt_queue_worker ~arrival ~slack ((inst, _) : R.queue_instance * _)
-    ~thread ~ops =
-  let o = inst.R.q_handle () in
-  let rng = Workload.Rng.create ~seed:0xADA7 ~stream:thread in
-  let sl = Fl.Slack.create slack in
-  let p = Workload.Arrival.pacer arrival in
-  for _ = 1 to ops do
-    Workload.Arrival.tick p;
-    match Workload.Distribution.queue_op rng with
-    | Workload.Distribution.Enq v ->
-        let f = o.R.q_enq v in
-        Fl.Slack.note sl (fun () -> Future.force f)
-    | Workload.Distribution.Deq ->
-        let f = o.R.q_deq () in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-  done;
-  Fl.Slack.drain sl;
-  o.R.q_flush ()
-
-let adapt_stack_worker ~arrival ~slack
-    ((inst, ctl) : R.stack_instance * Ctl.t option) ~thread ~ops =
-  let o = inst.R.s_handle () in
-  let rng = Workload.Rng.create ~seed:0xADA8 ~stream:thread in
-  let sl = Fl.Slack.create slack in
-  (* Adaptive column: each worker hands its own window to the live
-     controller (registration is concurrent-safe). *)
-  (match ctl with
-  | Some c -> Ctl.add_dial c (Tn.of_slack ~name:"bench.slack" sl)
-  | None -> ());
-  let p = Workload.Arrival.pacer arrival in
-  for _ = 1 to ops do
-    Workload.Arrival.tick p;
-    match Workload.Distribution.stack_op rng with
-    | Workload.Distribution.Push v ->
-        let f = o.R.s_push v in
-        Fl.Slack.note sl (fun () -> Future.force f)
-    | Workload.Distribution.Pop ->
-        let f = o.R.s_pop () in
-        Fl.Slack.note sl (fun () -> ignore (Future.force f))
-  done;
-  Fl.Slack.drain sl;
-  o.R.s_flush ()
-
-type adapt_col = {
-  ac_name : string;
-  ac_static : bool;
-  ac_measure :
-    threads:int -> arrival:Workload.Arrival.t -> Workload.Runner.measurement;
-  ac_stop : unit -> unit;
-      (* Adaptive columns keep ONE controller alive across every cell and
-         repeat of the panel: each repeat's fresh structure re-registers
-         its dials and warm-starts from the remembered configuration, so
-         the search ramp is paid once, not once per measurement. The
-         panel calls [ac_stop] when its table is done. *)
-}
-
-let no_stop () = ()
-
-let flatcomb_cols cfg =
-  let impl = R.find_queue "flatcomb" in
-  let static budget =
-    {
-      ac_name =
-        (if budget = 1 then "budget=1 (default)"
-         else Printf.sprintf "budget=%d" budget);
-      ac_static = true;
-      ac_measure =
-        (fun ~threads ~arrival ->
-          Workload.Runner.run ~threads ~repeats:1 ~ops_per_thread:cfg.ops
-            ~setup:(fun () ->
-              let inst = impl.R.q_make () in
-              set_dial (inst.R.q_dials ()) Tn.Fc_pass_budget budget;
-              (inst, None))
-            ~worker:(adapt_queue_worker ~arrival ~slack:1)
-            ~cas_total:(fun (i, _) -> i.R.q_cas_count ())
-            ~teardown:(fun (i, _) -> i.R.q_drain ())
-            ());
-      ac_stop = no_stop;
-    }
-  in
-  let adaptive =
-    let c = Ctl.create ~epoch:adapt_epoch () in
-    Ctl.start c;
-    {
-      ac_name = "adaptive";
-      ac_static = false;
-      ac_measure =
-        (fun ~threads ~arrival ->
-          Workload.Runner.run ~threads ~repeats:1 ~ops_per_thread:cfg.ops
-            ~setup:(fun () ->
-              let inst = impl.R.q_make () in
-              Ctl.add_dials c (inst.R.q_dials ());
-              (inst, Some c))
-            ~worker:(adapt_queue_worker ~arrival ~slack:1)
-            ~cas_total:(fun (i, _) -> i.R.q_cas_count ())
-            ~teardown:(fun (i, _) -> i.R.q_drain ())
-            ());
-      ac_stop = (fun () -> Ctl.stop c);
-    }
-  in
-  List.map static [ 1; 4; 16 ] @ [ adaptive ]
-
-let slack_cols cfg =
-  let impl = R.find_stack "weak" in
-  let measure ~slack ~ctl ~threads ~arrival =
-    Workload.Runner.run ~threads ~repeats:1 ~ops_per_thread:cfg.ops
-      ~setup:(fun () -> (impl.R.s_make (), ctl))
-      ~worker:(adapt_stack_worker ~arrival ~slack)
-      ~cas_total:(fun (i, _) -> i.R.s_cas_count ())
-      ~teardown:(fun (i, _) -> i.R.s_drain ())
-      ()
-  in
-  List.map
-    (fun slack ->
-      {
-        ac_name = Printf.sprintf "slack=%d" slack;
-        ac_static = true;
-        ac_measure = measure ~slack ~ctl:None;
-        ac_stop = no_stop;
-      })
-    [ 1; 10; 100 ]
-  @ [
-      (* Deliberately-wrong starting window: the controller has to find
-         its way from 8 to wherever the statics' best sits (and, once
-         found, warm-starts every later worker's fresh window there). *)
-      (let c = Ctl.create ~epoch:adapt_epoch () in
-       Ctl.start c;
-       {
-         ac_name = "adaptive (from 8)";
-         ac_static = false;
-         ac_measure = measure ~slack:8 ~ctl:(Some c);
-         ac_stop = (fun () -> Ctl.stop c);
-       });
-    ]
-
-let adapt_arrivals =
-  [ Workload.Arrival.Steady;
-    Workload.Arrival.Bursty { burst = 64; pause_ns = 50_000 } ]
-
-(* Run one panel over every (threads, arrival) regime. Each cell is the
-   median of [cfg.repeats] independent single-repeat runs — every repeat
-   builds a fresh structure, while the adaptive column's one long-lived
-   controller warm-starts each fresh structure's dials from the
-   configuration it has already learned (a regime change re-adapts from
-   there, exactly as a deployed controller would). Median is the robust
-   statistic on an oversubscribed host: a min would crown whichever
-   column drew the luckiest scheduler slice, a mean would charge one
-   preempted repeat to the whole column. Returns the (default-column,
-   adaptive-column) completion-time totals over all regimes, for the
-   strict-beat gate; regimes outside --assert-tolerance count into
-   [failures]. *)
-let run_adapt_panel cfg ~failures ~panel cols =
-  Fun.protect ~finally:(fun () -> List.iter (fun c -> c.ac_stop ()) cols)
-  @@ fun () ->
-  let table =
-    Workload.Report.create
-      ~title:
-        (Printf.sprintf
-           "%s (ns/op, median of %d repeats; x = adaptive vs best static)" panel
-           cfg.repeats)
-      ~columns:(List.map (fun c -> c.ac_name) cols)
-  in
-  let median ms =
-    let sorted =
-      List.sort
-        (fun a b ->
-          compare a.Workload.Runner.seconds b.Workload.Runner.seconds)
-        ms
-    in
-    List.nth sorted (List.length sorted / 2)
-  in
-  (* Repeats are interleaved round-robin across columns — repeat r of
-     every column runs before repeat r+1 of any — so slow drift in host
-     load lands on all columns alike instead of on whichever column runs
-     last. Each measurement starts from a settled heap: without the
-     major slice, GC debt left by the previous column leaks into this
-     one's timing. *)
-  let measure_all cols ~threads ~arrival =
-    let acc = List.map (fun c -> (c, ref [])) cols in
-    for _ = 1 to cfg.repeats do
-      List.iter
-        (fun (c, ms) ->
-          Gc.major ();
-          ms := c.ac_measure ~threads ~arrival :: !ms)
-        acc
-    done;
-    List.map (fun (_, ms) -> median !ms) acc
-  in
-  (* One unmeasured warm-up run per adaptive column. The claim under
-     test is that the controller finds what hand-tuning found — and a
-     static column IS its converged configuration from its very first
-     op, paid for by offline tuning the table never shows. The adaptive
-     column gets the offline phase the statics got: one run to learn,
-     after which every measured cell starts from the remembered
-     configuration (regime changes still re-adapt live). *)
-  List.iter
-    (fun c ->
-      if not c.ac_static then
-        ignore (c.ac_measure ~threads:1 ~arrival:Workload.Arrival.Steady))
-    cols;
-  let default_total = ref 0.0 and adaptive_total = ref 0.0 in
-  List.iter
-    (fun arrival ->
-      List.iter
-        (fun threads ->
-          let ms = measure_all cols ~threads ~arrival in
-          let bursty =
-            match arrival with Workload.Arrival.Steady -> 0.0 | _ -> 1.0
-          in
-          List.iter2
-            (fun c m ->
-              record cfg ~bench:"adapt"
-                ~impl:(panel ^ "/" ^ c.ac_name)
-                ~slack:0 ~domains:threads
-                [
-                  ("ns_per_op", ns_per_op m);
-                  ("ops_per_s", m.Workload.Runner.throughput);
-                  ("bursty", bursty);
-                ])
-            cols ms;
-          let static_ns =
-            List.filter_map
-              (fun (c, m) -> if c.ac_static then Some (ns_per_op m) else None)
-              (List.combine cols ms)
-          in
-          let best_static = List.fold_left min infinity static_ns in
-          let adaptive_ns =
-            match
-              List.find_opt
-                (fun (c, _) -> not c.ac_static)
-                (List.combine cols ms)
-            with
-            | Some (_, m) -> ns_per_op m
-            | None -> nan
-          in
-          let rel = adaptive_ns /. best_static in
-          record cfg ~bench:"adapt" ~impl:(panel ^ "/summary") ~slack:0
-            ~domains:threads
-            [
-              ("best_static_ns", best_static);
-              ("adaptive_ns", adaptive_ns);
-              ("rel_vs_best", rel);
-              ("bursty", bursty);
-            ];
-          (match cfg.assert_tol with
-          | Some tol when adaptive_ns > best_static *. (1.0 +. (tol /. 100.))
-            ->
-              incr failures;
-              Printf.eprintf
-                "ADAPT FAIL: %s @ %d threads %s: adaptive %.1f ns/op vs best \
-                 static %.1f (rel %.3f > 1 + %g%%)\n%!"
-                panel threads
-                (Workload.Arrival.to_string arrival)
-                adaptive_ns best_static rel tol
-          | _ -> ());
-          (match (ms, List.rev ms) with
-          | first :: _, last :: _ ->
-              default_total := !default_total +. first.Workload.Runner.seconds;
-              adaptive_total := !adaptive_total +. last.Workload.Runner.seconds
-          | _ -> ());
-          Workload.Report.add_row table
-            ~label:
-              (Printf.sprintf "%d %s" threads
-                 (Workload.Arrival.to_string arrival))
-            ~cells:
-              (List.map2
-                 (fun c m ->
-                   if c.ac_static then Printf.sprintf "%.0f" (ns_per_op m)
-                   else Printf.sprintf "%.0f (x%.2f)" (ns_per_op m) rel)
-                 cols ms))
-        cfg.threads)
-    adapt_arrivals;
-  print_table cfg table;
-  (!default_total, !adaptive_total)
-
-let adapt cfg =
-  Format.printf
-    "== Adapt: self-tuning controller vs hand-tuned statics — %d ops/thread, \
-     %d repeat(s) ==@.@."
-    cfg.ops cfg.repeats;
-  let was = Obs.enabled () in
-  Obs.set_enabled true;
-  let failures = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Obs.set_enabled was)
-    (fun () ->
-      let d_fc, a_fc =
-        run_adapt_panel cfg ~failures ~panel:"queue-flatcomb"
-          (flatcomb_cols cfg)
-      in
-      let (_ : float * float) =
-        run_adapt_panel cfg ~failures ~panel:"stack-weak-slack"
-          (slack_cols cfg)
-      in
-      (* The strict-beat gate: summed over every regime, the controller
-         must do strictly better than the out-of-the-box pass budget. *)
-      let beats = a_fc < d_fc in
-      record cfg ~bench:"adapt" ~impl:"queue-flatcomb/beats-default" ~slack:0
-        ~domains:0
-        [
-          ("default_total_s", d_fc);
-          ("adaptive_total_s", a_fc);
-          ("beats", if beats then 1.0 else 0.0);
-        ];
-      Printf.printf
-        "  queue-flatcomb totals over all regimes: default %.4fs, adaptive \
-         %.4fs — adaptive %s the default\n\n\
-         %!"
-        d_fc a_fc
-        (if beats then "beats" else "does NOT beat");
-      if (not beats) && cfg.assert_beats then begin
-        incr failures;
-        Printf.eprintf
-          "ADAPT FAIL: adaptive totals %.4fs do not beat the default %.4fs\n%!"
-          a_fc d_fc
-      end);
-  if !failures > 0 then
-    Printf.eprintf "adapt: %d gate(s) failed\n%!" !failures;
-  !failures
-
 (* ----------------------------- service ------------------------------ *)
 
 (* Open-loop service saturation sweep (ROADMAP item 3). Per-worker
@@ -1682,9 +1324,15 @@ let service_bench cfg =
   let conf_stride = Obs.conformance_stride () in
   Obs.set_conformance_stride 0;
   Format.printf "service: overload chaos (bursty, scripted kills)@.";
+  (* The admission kill fires within the panel's own request count
+     (0-based hit index), so even a tiny run kills one worker. *)
   let plan =
     [
-      { Faults.pt = "service.admit"; at = 200; act = Faults.Kill };
+      {
+        Faults.pt = "service.admit";
+        at = min 200 (workers * requests / 2);
+        act = Faults.Kill;
+      };
       { Faults.pt = "shard.grant"; at = 1; act = Faults.Kill };
       { Faults.pt = "service.epoch"; at = 8; act = Faults.Kill };
     ]

@@ -16,12 +16,6 @@
        the bench, not the validator);
      - [--bench NAME] (repeatable): at least one record of that bench
        kind appears;
-     - adapt records get their semantic checks: every [*/summary]
-       record carries positive best_static_ns and adaptive_ns whose
-       ratio reproduces rel_vs_best, [--max-rel X] bounds rel_vs_best
-       over every summary (the tolerance gate, re-checked offline), and
-       a [--require-beats] run must contain a [*/beats-default] record
-       with beats = 1;
      - service records get theirs: books must balance (completed +
        failed <= admitted, admitted + shed <= offered, shed_rate
        reproduces shed / offered), [--service-p999-budget NS] bounds
@@ -32,60 +26,12 @@
        invisible).
 
    Exits 0 with a summary on success, 1 with a diagnostic on the first
-   violation. The document is read with {!Json.parse}. *)
+   violation, 124 on a usage error. The document is read with
+   {!Json.parse}. *)
 
 open Json
 
-let () =
-  let file = ref None in
-  let min_records = ref 1 in
-  let max_rel = ref None in
-  let require_beats = ref false in
-  let service_p999_budget = ref None in
-  let service_knee = ref None in
-  let benches = ref [] in
-  let usage () =
-    prerr_endline
-      "usage: validate_bench FILE [--min-records N] [--bench NAME]... \
-       [--max-rel X] [--require-beats] [--service-p999-budget NS] \
-       [--service-knee RATE]";
-    exit 2
-  in
-  let rec parse_args = function
-    | [] -> ()
-    | "--min-records" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some m when m >= 1 -> min_records := m
-        | _ -> usage ());
-        parse_args rest
-    | "--max-rel" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some x when x > 0.0 -> max_rel := Some x
-        | _ -> usage ());
-        parse_args rest
-    | "--require-beats" :: rest ->
-        require_beats := true;
-        parse_args rest
-    | "--service-p999-budget" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some x when x > 0.0 -> service_p999_budget := Some x
-        | _ -> usage ());
-        parse_args rest
-    | "--service-knee" :: v :: rest ->
-        (match float_of_string_opt v with
-        | Some x when x > 0.0 -> service_knee := Some x
-        | _ -> usage ());
-        parse_args rest
-    | "--bench" :: b :: rest ->
-        benches := b :: !benches;
-        parse_args rest
-    | a :: rest when !file = None && String.length a > 0 && a.[0] <> '-' ->
-        file := Some a;
-        parse_args rest
-    | _ -> usage ()
-  in
-  parse_args (List.tl (Array.to_list Sys.argv));
-  let file = match !file with Some f -> f | None -> usage () in
+let validate file ~min_records ~benches ~service_p999_budget ~service_knee =
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -123,8 +69,8 @@ let () =
     | Some (Arr rs) -> rs
     | _ -> fail "missing records array"
   in
-  if List.length records < !min_records then
-    fail "%d record(s), need at least %d" (List.length records) !min_records;
+  if List.length records < min_records then
+    fail "%d record(s), need at least %d" (List.length records) min_records;
   let get r k = match r with Obj kv -> List.assoc_opt k kv | _ -> None in
   let num r k =
     match get r k with
@@ -132,7 +78,6 @@ let () =
     | _ -> fail "record %s: missing or non-finite %S" (match get r "impl" with Some (Str s) -> s | _ -> "?") k
   in
   let seen_bench = Hashtbl.create 8 in
-  let summaries = ref 0 and beats_ok = ref false in
   List.iteri
     (fun i r ->
       (match r with Obj _ -> () | _ -> fail "record %d not an object" i);
@@ -166,36 +111,6 @@ let () =
               | _ -> fail "record %s: field %S not a finite number" impl k)
             kv
       | _ -> ());
-      if bench = "adapt" then begin
-        let ends_with suf =
-          let ls = String.length suf and li = String.length impl in
-          li >= ls && String.sub impl (li - ls) ls = suf
-        in
-        if ends_with "/summary" then begin
-          incr summaries;
-          let best = num r "best_static_ns" and ad = num r "adaptive_ns" in
-          let rel = num r "rel_vs_best" in
-          if best <= 0.0 || ad <= 0.0 then
-            fail "summary %s: non-positive ns" impl;
-          if Float.abs ((ad /. best) -. rel) > 0.01 *. rel then
-            fail "summary %s: rel_vs_best %.4f does not match %.4f" impl rel
-              (ad /. best);
-          match !max_rel with
-          | Some x when rel > x ->
-              fail "summary %s: rel_vs_best %.4f exceeds --max-rel %.4f" impl
-                rel x
-          | _ -> ()
-        end;
-        if ends_with "/beats-default" then begin
-          let beats = num r "beats" in
-          if beats <> 0.0 && beats <> 1.0 then
-            fail "%s: beats must be 0 or 1" impl;
-          let d = num r "default_total_s" and a = num r "adaptive_total_s" in
-          if (a < d) <> (beats = 1.0) then
-            fail "%s: beats flag contradicts the totals" impl;
-          if beats = 1.0 then beats_ok := true
-        end
-      end;
       if bench = "service" then begin
         let offered = num r "offered"
         and admitted = num r "admitted"
@@ -216,12 +131,12 @@ let () =
         and p999 = num r "sojourn_p999_ns" in
         if not (p50 <= p99 && p99 <= p999) then
           fail "service %s: sojourn percentiles not monotone" impl;
-        (match !service_p999_budget with
+        (match service_p999_budget with
         | Some budget when p999 > budget ->
             fail "service %s: sojourn_p999_ns %.0f exceeds budget %.0f" impl
               p999 budget
         | _ -> ());
-        match !service_knee with
+        match service_knee with
         | Some knee when num r "offered_rate_per_s" <= knee && shed > 0.0 ->
             fail "service %s: %d shed(s) below the knee (%.0f req/s)" impl
               (int_of_float shed) knee
@@ -232,12 +147,51 @@ let () =
     (fun b ->
       if not (Hashtbl.mem seen_bench b) then
         fail "no record of bench kind %S" b)
-    !benches;
-  if List.mem "adapt" !benches && !summaries = 0 then
-    fail "adapt run produced no summary records";
-  if !require_beats && not !beats_ok then
-    fail "no beats-default record with beats = 1";
-  Printf.printf
-    "validate_bench: %s OK (%d records, %d adapt summaries%s)\n" file
-    (List.length records) !summaries
-    (if !beats_ok then ", beats default" else "")
+    benches;
+  Printf.printf "validate_bench: %s OK (%d records)\n" file
+    (List.length records)
+
+open Cmdliner
+
+let () =
+  let file =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
+  in
+  let min_records =
+    Arg.(
+      value
+      & opt (Cli.int_at_least 1) 1
+      & info [ "min-records" ] ~docv:"N" ~doc:"Require at least N records.")
+  in
+  let benches =
+    Arg.(
+      value & opt_all string []
+      & info [ "bench" ] ~docv:"NAME"
+          ~doc:"Require a record of this bench kind (repeatable).")
+  in
+  let service_p999_budget =
+    Arg.(
+      value
+      & opt (some Cli.positive_float) None
+      & info [ "service-p999-budget" ] ~docv:"NS"
+          ~doc:"Bound every service record's sojourn_p999_ns.")
+  in
+  let service_knee =
+    Arg.(
+      value
+      & opt (some Cli.positive_float) None
+      & info [ "service-knee" ] ~docv:"RATE"
+          ~doc:"Service records offered at or below RATE req/s shed nothing.")
+  in
+  let run file min_records benches service_p999_budget service_knee =
+    validate file ~min_records ~benches ~service_p999_budget ~service_knee
+  in
+  let info =
+    Cmd.info "validate_bench" ~doc:"Schema check for flbench's BENCH records."
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v info
+          Term.(
+            const run $ file $ min_records $ benches $ service_p999_budget
+            $ service_knee)))

@@ -39,7 +39,8 @@
    scanned but never certified.
 
    Exits 0 with a summary on success, 1 with a diagnostic on the first
-   violation. Each line's JSON value is read with {!Json.parse}. *)
+   violation, 124 on a usage error. Each line's JSON value is read with
+   {!Json.parse}. *)
 
 open Json
 
@@ -52,54 +53,8 @@ module S = Lin.Stream
 
 type mon = { family : S.family; obj : int; m : S.t }
 
-let () =
-  let file = ref None in
-  let min_domains = ref 1 in
-  let min_events = ref 1 in
-  let min_transfers = ref 0 in
-  let required = ref [] in
-  let conformance = ref false in
-  let allow_dropped = ref false in
-  let usage () =
-    prerr_endline
-      "usage: validate_trace FILE [--min-domains N] [--min-events N] \
-       [--min-transfers N] [--require PREFIX]... [--conformance] \
-       [--allow-dropped]";
-    exit 2
-  in
-  let rec parse_args = function
-    | [] -> ()
-    | "--min-domains" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some m -> min_domains := m
-        | None -> usage ());
-        parse_args rest
-    | "--min-events" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some m when m >= 1 -> min_events := m
-        | _ -> usage ());
-        parse_args rest
-    | "--min-transfers" :: v :: rest ->
-        (match int_of_string_opt v with
-        | Some m when m >= 0 -> min_transfers := m
-        | _ -> usage ());
-        parse_args rest
-    | "--require" :: p :: rest ->
-        required := p :: !required;
-        parse_args rest
-    | "--conformance" :: rest ->
-        conformance := true;
-        parse_args rest
-    | "--allow-dropped" :: rest ->
-        allow_dropped := true;
-        parse_args rest
-    | a :: rest when !file = None && String.length a > 0 && a.[0] <> '-' ->
-        file := Some a;
-        parse_args rest
-    | _ -> usage ()
-  in
-  parse_args (List.tl (Array.to_list Sys.argv));
-  let file = match !file with Some f -> f | None -> usage () in
+let validate file ~min_domains ~min_events ~min_transfers ~required
+    ~conformance ~allow_dropped =
   let line_no = ref 0 in
   let fail fmt =
     Printf.ksprintf
@@ -163,8 +118,8 @@ let () =
      the ship fires on the granter's domain, the ack on the requester's. *)
   let ships : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let transfers = ref 0 in
-  let matched = Array.make (List.length !required) false in
-  let req_prefixes = Array.of_list (List.rev !required) in
+  let req_prefixes = Array.of_list required in
+  let matched = Array.make (Array.length req_prefixes) false in
   (* Conformance state: monitors keyed by (family, obj); the line each
      feed index came from, for violation reports. *)
   let monitors : (int, mon) Hashtbl.t = Hashtbl.create 8 in
@@ -278,7 +233,7 @@ let () =
           if outstanding > 0 then Hashtbl.replace ships bucket (outstanding - 1)
     end;
     if
-      !conformance
+      conformance
       && (String.length name > 3 && String.sub name 0 3 = "op.")
       && (name = "op.enq" || name = "op.deq" || name = "op.deq.empty"
          || name = "op.push" || name = "op.pop" || name = "op.pop.empty")
@@ -320,11 +275,11 @@ let () =
   close_in ic;
   (* --------------------------- verdicts ----------------------------- *)
   if !n_events = 0 then fail "traceEvents is empty";
-  if !n_events < !min_events then
-    fail "only %d event(s), need at least %d" !n_events !min_events;
+  if !n_events < min_events then
+    fail "only %d event(s), need at least %d" !n_events min_events;
   let domains = Hashtbl.length tids in
-  if domains < !min_domains then
-    fail "only %d distinct tid(s), need at least %d" domains !min_domains;
+  if domains < min_domains then
+    fail "only %d distinct tid(s), need at least %d" domains min_domains;
   Hashtbl.iter
     (fun bucket k ->
       if k > 0 then
@@ -333,17 +288,17 @@ let () =
            shard.recover"
           bucket k)
     ships;
-  if !transfers < !min_transfers then
+  if !transfers < min_transfers then
     fail "only %d completed transfer(s) (shard.ack), need at least %d"
-      !transfers !min_transfers;
+      !transfers min_transfers;
   Array.iteri
     (fun i ok ->
       if not ok then fail "no event with name prefix %S" req_prefixes.(i))
     matched;
   let conf_summary =
-    if not !conformance then ""
+    if not conformance then ""
     else begin
-      if !dropped > 0 && not !allow_dropped then begin
+      if !dropped > 0 && not allow_dropped then begin
         Printf.eprintf
           "%s: %d event(s) dropped by the flight-recorder rings — an \
            incomplete history cannot be certified (--allow-dropped to scan \
@@ -382,3 +337,56 @@ let () =
   in
   Printf.printf "%s: OK (%d events, %d domain(s), %d transfer(s)%s)\n" file
     !n_events domains !transfers conf_summary
+
+open Cmdliner
+
+let () =
+  let file =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
+  in
+  let floor names lo ~docv ~doc =
+    Arg.(value & opt (Cli.int_at_least lo) lo & info names ~docv ~doc)
+  in
+  let min_domains =
+    floor [ "min-domains" ] 1 ~docv:"N" ~doc:"Require at least N distinct tids."
+  in
+  let min_events =
+    floor [ "min-events" ] 1 ~docv:"N" ~doc:"Require at least N events."
+  in
+  let min_transfers =
+    floor [ "min-transfers" ] 0 ~docv:"N"
+      ~doc:"Require at least N completed shard transfers."
+  in
+  let required =
+    Arg.(
+      value & opt_all string []
+      & info [ "require" ] ~docv:"PREFIX"
+          ~doc:"Require an event whose name starts with PREFIX (repeatable).")
+  in
+  let conformance =
+    Arg.(
+      value & flag
+      & info [ "conformance" ]
+          ~doc:"Replay completed-operation events through Lin.Stream monitors.")
+  in
+  let allow_dropped =
+    Arg.(
+      value & flag
+      & info [ "allow-dropped" ]
+          ~doc:"With --conformance, scan a trace whose rings dropped events.")
+  in
+  let run file min_domains min_events min_transfers required conformance
+      allow_dropped =
+    validate file ~min_domains ~min_events ~min_transfers ~required
+      ~conformance ~allow_dropped
+  in
+  let info =
+    Cmd.info "validate_trace"
+      ~doc:"Schema and conformance check for flight-recorder traces."
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v info
+          Term.(
+            const run $ file $ min_domains $ min_events $ min_transfers
+            $ required $ conformance $ allow_dropped)))

@@ -21,6 +21,10 @@
     hazard the fault-injection points ([fc.apply], [fc.pass],
     [fc.record]) exist to provoke.
 
+    A combiner runs one pass per lease: it scans the whole publication
+    list from the head, answers every pending request it finds, and
+    releases the role.
+
     Limit of the lease (documented, not defended): takeover is only safe
     when the stalled combiner is between records — a combiner preempted
     {e inside} a single [apply] of the sequential structure that later
@@ -72,27 +76,6 @@ val retire : ('op, 'res) handle -> unit
     [apply]'s return value, so a retired op's future is simply never
     fulfilled — the owner's recovery layer poisons it. Safe to call from
     any thread once the owner is known dead, and idempotent. *)
-
-(** {2 Runtime-tunable knobs (the Tune controller's handles)} *)
-
-val pass_budget : ('op, 'res) t -> int
-
-val set_pass_budget : ('op, 'res) t -> int -> unit
-(** Consecutive passes one lease holder runs before releasing (clamped
-    to [>= 1]; default 1 — release after every pass, the classic
-    behavior). A holder stops early when a pass answers no requests or
-    its lease is usurped. Raising it under sustained traffic keeps the
-    combiner role, and the sequential structure's cache lines, on one
-    domain. Safe to call from any domain at any time. *)
-
-val scan_limit : ('op, 'res) t -> int
-
-val set_scan_limit : ('op, 'res) t -> int -> unit
-(** Max publication records visited per pass ([0] = unlimited, the
-    default; negative clamps to 0). Bounded passes rotate through the
-    list from a cursor, so a long prefix of retained idle records no
-    longer taxes every pass and no record starves. Safe to call from any
-    domain at any time. *)
 
 val combiner_passes : ('op, 'res) t -> int
 (** Number of combining passes executed (diagnostics). *)

@@ -25,7 +25,7 @@
     Current points: [backoff.once], [spinlock.acquire], [future.fulfil],
     [future.force], [future.await], [fc.apply], [fc.pass], [fc.record],
     [elim.exchange], [elim.offer], [elim.park], [conformance.round],
-    [bench.op], [fuzz.step], [tune.epoch], the sharded-map transfer
+    [bench.op], [fuzz.step], the sharded-map transfer
     protocol's [shard.grant], [shard.ship], [shard.ack] (each fired
     immediately before the corresponding ownership CAS, so a kill there
     is a death {e between} protocol states and the surviving endpoint

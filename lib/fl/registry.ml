@@ -28,19 +28,15 @@ type stack_instance = {
   s_drain : unit -> unit;
   s_cas_count : unit -> int;
   s_contents : unit -> int list;
-  s_dials : unit -> Tunable.dial list;
 }
 
 type stack_impl = { s_name : string; s_make : unit -> stack_instance }
-
-let no_dials () = []
 
 (* Handle-free entries — the baselines, whose futures are already
    fulfilled, and strong-FL, whose pending state is shared and settled by
    [drain] — have no per-handle window: nothing to flush or abandon.
    [ops] builds one domain's operations. *)
-let immediate_stack ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
-    ops =
+let immediate_stack ?(drain = ignore) ~cas_count ~contents ops =
   {
     s_handle =
       (fun () ->
@@ -49,12 +45,11 @@ let immediate_stack ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
     s_drain = drain;
     s_cas_count = cas_count;
     s_contents = contents;
-    s_dials = dials;
   }
 
 (* A weak/medium-FL stack over the shared Treiber stack it exposes. *)
 module Handle_stack (S : Fl_intf.HANDLE_STACK) = struct
-  let instance ?(dials = no_dials) s =
+  let instance s =
     {
       s_handle =
         (fun () ->
@@ -69,7 +64,6 @@ module Handle_stack (S : Fl_intf.HANDLE_STACK) = struct
       s_cas_count =
         (fun () -> Lockfree.Treiber_stack.cas_count (S.shared s));
       s_contents = (fun () -> Lockfree.Treiber_stack.to_list (S.shared s));
-      s_dials = dials;
     }
 end
 
@@ -88,11 +82,7 @@ let lockfree_stack () =
         fun () -> Future.of_value (Lockfree.Treiber_stack.pop s) ))
 
 let weak_stack_with ?(exchange = false) ~elimination () =
-  let s = Weak_stack.create ~elimination ~exchange () in
-  WS.instance s ~dials:(fun () ->
-      match Weak_stack.exchanger s with
-      | Some ex -> Tunable.of_exchanger ~name:"weak-stack.elim" ex
-      | None -> [])
+  WS.instance (Weak_stack.create ~elimination ~exchange ())
 
 let weak_stack () = weak_stack_with ~elimination:true ()
 
@@ -115,13 +105,6 @@ let fc_stack () =
   immediate_stack
     ~cas_count:(fun () -> 0)
     ~contents:(fun () -> Combining.Fc_stack.to_list s)
-    ~dials:(fun () ->
-      Tunable.of_fc ~name:"fc-stack"
-        ~pass_budget:(fun () -> Combining.Fc_stack.pass_budget s)
-        ~set_pass_budget:(Combining.Fc_stack.set_pass_budget s)
-        ~scan_limit:(fun () -> Combining.Fc_stack.scan_limit s)
-        ~set_scan_limit:(Combining.Fc_stack.set_scan_limit s)
-        ())
     (fun () ->
       let h = Combining.Fc_stack.handle s in
       ( (fun x ->
@@ -166,13 +149,11 @@ type queue_instance = {
   q_drain : unit -> unit;
   q_cas_count : unit -> int;
   q_contents : unit -> int list;
-  q_dials : unit -> Tunable.dial list;
 }
 
 type queue_impl = { q_name : string; q_make : unit -> queue_instance }
 
-let immediate_queue ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
-    ops =
+let immediate_queue ?(drain = ignore) ~cas_count ~contents ops =
   {
     q_handle =
       (fun () ->
@@ -181,7 +162,6 @@ let immediate_queue ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
     q_drain = drain;
     q_cas_count = cas_count;
     q_contents = contents;
-    q_dials = dials;
   }
 
 (* A weak/medium-FL queue over the shared Michael–Scott queue it
@@ -201,7 +181,6 @@ module Handle_queue (Q : Fl_intf.HANDLE_QUEUE) = struct
       q_drain = ignore;
       q_cas_count = (fun () -> Lockfree.Ms_queue.cas_count (Q.shared q));
       q_contents = (fun () -> Lockfree.Ms_queue.to_list (Q.shared q));
-      q_dials = no_dials;
     }
 end
 
@@ -236,13 +215,6 @@ let fc_queue () =
   immediate_queue
     ~cas_count:(fun () -> 0)
     ~contents:(fun () -> Combining.Fc_queue.to_list q)
-    ~dials:(fun () ->
-      Tunable.of_fc ~name:"fc-queue"
-        ~pass_budget:(fun () -> Combining.Fc_queue.pass_budget q)
-        ~set_pass_budget:(Combining.Fc_queue.set_pass_budget q)
-        ~scan_limit:(fun () -> Combining.Fc_queue.scan_limit q)
-        ~set_scan_limit:(Combining.Fc_queue.set_scan_limit q)
-        ())
     (fun () ->
       let h = Combining.Fc_queue.handle q in
       ( (fun x ->
@@ -275,13 +247,11 @@ type set_instance = {
   l_drain : unit -> unit;
   l_cas_count : unit -> int;
   l_contents : unit -> int list;
-  l_dials : unit -> Tunable.dial list;
 }
 
 type set_impl = { l_name : string; l_make : unit -> set_instance }
 
-let immediate_set ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
-    ops =
+let immediate_set ?(drain = ignore) ~cas_count ~contents ops =
   {
     l_handle =
       (fun () ->
@@ -296,7 +266,6 @@ let immediate_set ?(drain = ignore) ?(dials = no_dials) ~cas_count ~contents
     l_drain = drain;
     l_cas_count = cas_count;
     l_contents = contents;
-    l_dials = dials;
   }
 
 (* A weak/medium-FL set over its shared Harris list ([shared]; the set
@@ -317,7 +286,6 @@ module Handle_set (S : Fl_intf.HANDLE_SET with module Key := Int_key) = struct
       l_drain = ignore;
       l_cas_count = (fun () -> Harris.cas_count shared);
       l_contents = (fun () -> Harris.to_list shared);
-      l_dials = no_dials;
     }
 end
 
@@ -367,13 +335,6 @@ let fc_set () =
   immediate_set
     ~cas_count:(fun () -> 0)
     ~contents:(fun () -> FCSet.to_list l)
-    ~dials:(fun () ->
-      Tunable.of_fc ~name:"fc-set"
-        ~pass_budget:(fun () -> FCSet.pass_budget l)
-        ~set_pass_budget:(FCSet.set_pass_budget l)
-        ~scan_limit:(fun () -> FCSet.scan_limit l)
-        ~set_scan_limit:(FCSet.set_scan_limit l)
-        ())
     (fun () ->
       let h = FCSet.handle l in
       ( (fun k -> Future.of_value (FCSet.insert h k)),

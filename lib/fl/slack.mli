@@ -26,9 +26,11 @@ val create : ?order:order -> int -> t
 val slack : t -> int
 
 val set_slack : t -> int -> unit
-(** Retune the window bound (clamped to [>= 1]); safe to call from any
-    domain — the owner picks the new bound up at its next {!note}. A
-    bound below the current fill simply drains at that next [note]. *)
+(** Resize the window bound (clamped to [>= 1]) — the admission
+    controller's Squeeze stage ([Workload.Overload]) is the caller. Safe
+    to call from any domain: the owner picks the new bound up at its
+    next {!note}. A bound below the current fill simply drains at that
+    next [note]. *)
 
 val note : t -> (unit -> unit) -> unit
 (** [note t force] registers an outstanding future's force thunk. When the

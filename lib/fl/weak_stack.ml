@@ -42,8 +42,6 @@ let shared t = t.stack
 let exchanged t =
   match t.exchange with None -> 0 | Some ex -> Lockfree.Exchanger.exchanged ex
 
-let exchanger t = t.exchange
-
 let pending_count h = Opbuf.length h.push_vals + Opbuf.length h.pops
 
 (* How long a leftover pop waits in the exchange array for a producer. *)

@@ -54,8 +54,3 @@ val shared : 'a t -> 'a Lockfree.Treiber_stack.t
 
 val exchanged : 'a t -> int
 (** Completed cross-handle exchanges; [0] unless [~exchange:true]. *)
-
-val exchanger : 'a t -> 'a Lockfree.Exchanger.t option
-(** The cross-handle exchange array, when this stack was created with
-    [~exchange:true] — exposed so the Tune controller can retune its
-    width bounds ({!Lockfree.Exchanger.set_width_bounds}). *)

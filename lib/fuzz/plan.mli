@@ -9,9 +9,7 @@
     Stall plans use only [Delay]/[Sleep]. [Kill] actions are generated
     only when [kills] is set: a killed operation may or may not have
     taken effect, which a recorded-history checker cannot tell apart, so
-    history-checked targets never see kills — except [tuned], whose
-    operations never pass a kill point (the only reachable kill point is
-    the controller's ["tune.epoch"]). *)
+    history-checked targets never see kills. *)
 
 type t = Faults.plan_step list
 
@@ -21,8 +19,8 @@ val stall_points : string list
 
 val kill_points : string list
 (** Points kill actions are restricted to: the flat-combining and shard
-    transfer protocol points, plus the self-tuning controller's
-    ["tune.epoch"]. *)
+    transfer protocol points, plus the admission-controlled service
+    points. *)
 
 val generate :
   ?intensity:int -> ?horizon:int -> ?kills:bool -> seed:int -> unit -> t

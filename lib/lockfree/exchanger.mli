@@ -38,19 +38,6 @@ val capacity : 'a t -> int
 val width : 'a t -> int
 (** Current adaptive width (slots actually probed). *)
 
-val width_bounds : 'a t -> int * int
-(** [(min, max)] range the adaptive width is confined to; initially
-    [(1, capacity)]. *)
-
-val set_width_bounds : ?min:int -> ?max:int -> 'a t -> unit
-(** Retune the adaptive-width range (the Tune controller's knob). Each
-    given side is clamped to [1..capacity]; when the pair would invert,
-    the side being set drags the other along. The current width is
-    pulled into the new range. Concurrent-safe: the pair lives in one
-    atomic word, so probers never observe a torn min/max. Raises
-    [Invalid_argument] only when both sides are given with
-    [min > max]. *)
-
 val exchanged : 'a t -> int
 (** Number of completed give/take pairs. *)
 

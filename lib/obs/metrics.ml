@@ -25,12 +25,6 @@ type t = {
   futures_rejected : C.t;
   splices : C.t;
   splice_ops : C.t;
-  (* Per-splice-kind counters, indexed by Event.k_* (length
-     Event.kind_count). The controller needs to attribute batch sizes to
-     the knob that produced them — slack drains vs combining passes —
-     which the aggregate splice histogram cannot do. *)
-  splice_kind_splices : C.t array;
-  splice_kind_ops : C.t array;
   elim_hits : C.t;
   elim_misses : C.t;
   combiner_acquires : C.t;
@@ -67,8 +61,6 @@ let create () =
     futures_rejected = C.create ();
     splices = C.create ();
     splice_ops = C.create ();
-    splice_kind_splices = Array.init Event.kind_count (fun _ -> C.create ());
-    splice_kind_ops = Array.init Event.kind_count (fun _ -> C.create ());
     elim_hits = C.create ();
     elim_misses = C.create ();
     combiner_acquires = C.create ();
@@ -111,8 +103,6 @@ let reset () =
       g.shard_degraded_finds; g.service_admitted; g.service_shed;
       g.service_degrades;
     ];
-  Array.iter C.reset g.splice_kind_splices;
-  Array.iter C.reset g.splice_kind_ops;
   List.iter Histogram.reset
     [ g.pendingness_ns; g.force_ns; g.splice_batch; g.elim_wait_ns;
       g.transfer_ns; g.service_ns ]
@@ -139,12 +129,9 @@ let on_future_cancelled w = C.add global.futures_cancelled w
 let on_future_poisoned w = C.add global.futures_poisoned w
 let on_future_rejected w = C.add global.futures_rejected w
 
-let on_splice ~kind n =
+let on_splice n =
   C.incr global.splices;
   C.add global.splice_ops n;
-  let k = if kind < 0 || kind >= Event.kind_count then 0 else kind in
-  C.incr global.splice_kind_splices.(k);
-  C.add global.splice_kind_ops.(k) n;
   Histogram.record global.splice_batch n
 
 let on_elim_hit () = C.incr global.elim_hits
@@ -187,8 +174,6 @@ type snapshot = {
   futures_rejected : int;
   splices : int;
   splice_ops : int;
-  splice_kind_splices : int array;
-  splice_kind_ops : int array;
   elim_hits : int;
   elim_misses : int;
   combiner_acquires : int;
@@ -226,8 +211,6 @@ let snapshot () =
     futures_rejected = C.total g.futures_rejected;
     splices = C.total g.splices;
     splice_ops = C.total g.splice_ops;
-    splice_kind_splices = Array.map C.total g.splice_kind_splices;
-    splice_kind_ops = Array.map C.total g.splice_kind_ops;
     elim_hits = C.total g.elim_hits;
     elim_misses = C.total g.elim_misses;
     combiner_acquires = C.total g.combiner_acquires;
@@ -264,12 +247,6 @@ let diff (later : snapshot) (earlier : snapshot) =
     futures_rejected = later.futures_rejected - earlier.futures_rejected;
     splices = later.splices - earlier.splices;
     splice_ops = later.splice_ops - earlier.splice_ops;
-    splice_kind_splices =
-      Array.init Event.kind_count (fun i ->
-          later.splice_kind_splices.(i) - earlier.splice_kind_splices.(i));
-    splice_kind_ops =
-      Array.init Event.kind_count (fun i ->
-          later.splice_kind_ops.(i) - earlier.splice_kind_ops.(i));
     elim_hits = later.elim_hits - earlier.elim_hits;
     elim_misses = later.elim_misses - earlier.elim_misses;
     combiner_acquires = later.combiner_acquires - earlier.combiner_acquires;
@@ -309,8 +286,6 @@ let mean_splice_batch s = Histogram.mean_value s.splice_batch
 let elim_wait_p99 s = Histogram.percentile_value s.elim_wait_ns 99.0
 let elim_wait_p999 s = Histogram.percentile_value s.elim_wait_ns 99.9
 
-let transfer_p50 s = Histogram.percentile_value s.transfer_ns 50.0
-let transfer_p99 s = Histogram.percentile_value s.transfer_ns 99.0
 let transfer_p999 s = Histogram.percentile_value s.transfer_ns 99.9
 
 let service_p50 s = Histogram.percentile_value s.service_ns 50.0
@@ -321,11 +296,3 @@ let elim_hit_rate s =
   let attempts = s.elim_hits + s.elim_misses in
   if attempts = 0 then 0.0
   else float_of_int s.elim_hits /. float_of_int attempts
-
-(* Mean batch size attributed to one splice kind (an [Event.kind_name]
-   constant); [0.] when that kind recorded no splices. *)
-let kind_mean_batch s k =
-  if k < 0 || k >= Event.kind_count then
-    invalid_arg "Metrics.kind_mean_batch: kind out of range";
-  let n = s.splice_kind_splices.(k) in
-  if n = 0 then 0.0 else float_of_int s.splice_kind_ops.(k) /. float_of_int n

@@ -23,10 +23,9 @@ val on_future_poisoned : int -> unit
 val on_future_rejected : int -> unit
 (** Argument: sampling weight. *)
 
-val on_splice : kind:int -> int -> unit
+val on_splice : int -> unit
 (** Argument: ops amortized by this single-CAS splice (or combining
-    pass); [kind] an {!Event.kind_name} constant attributing the batch
-    to the layer that produced it. *)
+    pass). *)
 
 val on_elim_hit : unit -> unit
 val on_elim_miss : unit -> unit
@@ -74,8 +73,6 @@ type snapshot = {
   futures_rejected : int;
   splices : int;
   splice_ops : int;
-  splice_kind_splices : int array;
-  splice_kind_ops : int array;
   elim_hits : int;
   elim_misses : int;
   combiner_acquires : int;
@@ -118,8 +115,6 @@ val mean_splice_batch : snapshot -> float
 val elim_wait_p99 : snapshot -> int
 val elim_wait_p999 : snapshot -> int
 
-val transfer_p50 : snapshot -> int
-val transfer_p99 : snapshot -> int
 val transfer_p999 : snapshot -> int
 (** Bucket-transfer latency (request → ack), ns. *)
 
@@ -131,8 +126,3 @@ val service_p999 : snapshot -> int
 
 val elim_hit_rate : snapshot -> float
 (** hits / (hits + misses); [0.] with no attempts. *)
-
-val kind_mean_batch : snapshot -> int -> float
-(** Mean batch size of the splices attributed to one {!Event} splice
-    kind; [0.] when that kind recorded none. Raises [Invalid_argument]
-    out of range. *)

@@ -128,7 +128,7 @@ let future_forced ~t0 =
 let splice ~kind ~n =
   if n > 0 && Switch.enabled () then begin
     Trace.emit Event.window_splice n kind;
-    Metrics.on_splice ~kind n
+    Metrics.on_splice n
   end
 
 (* ---------------------------- elimination ---------------------------- *)

@@ -7,5 +7,3 @@ external now_ns_int : unit -> (int[@untagged])
 [@@noalloc]
 
 let now () = Int64.to_float (now_ns ()) *. 1e-9
-
-let elapsed_since t0 = now () -. t0

@@ -21,6 +21,3 @@ val now_ns_int : unit -> int
 val now : unit -> float
 (** Monotonic time in seconds, for deadline arithmetic alongside
     fractional-second timeouts. *)
-
-val elapsed_since : float -> float
-(** [elapsed_since t0] is [now () -. t0]. *)

@@ -2,9 +2,7 @@
 
     Two modes. The {e closed-loop} pacer ([t]/[pacer]/[tick]) gates an
     issue loop: steady back-to-back issue, or bursts of [burst]
-    operations separated by [pause_ns] idle gaps. The adapt benchmark
-    sweeps both regimes; bursty arrivals are the stress case for an
-    online controller.
+    operations separated by [pause_ns] idle gaps.
 
     The {e open-loop} schedule ([process]/[schedule]/[next_arrival_ns])
     is the service layer's generator: it stamps every request with its

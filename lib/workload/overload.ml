@@ -1,4 +1,4 @@
-(* The admission controller: a Tune-style epoch loop that walks the
+(* The admission controller: a background epoch loop that walks the
    Admit -> Squeeze -> Shed -> Degrade ladder on hot epochs and back,
    with hysteresis, on calm ones. See overload.mli for the contract.
 
@@ -189,7 +189,7 @@ let step t =
   let now = Obs.Metrics.snapshot () in
   let d = Obs.Metrics.diff now t.last in
   t.last <- now;
-  let o = Tune.Policy.observe d in
+  let force_p99 = Obs.Metrics.force_p99 d in
   let pend_p99 = Obs.Metrics.pendingness_p99 d in
   (* Sojourn is the open-loop signal: when the arrival generator falls
      behind, every individual force can still be fast — only the
@@ -198,21 +198,21 @@ let step t =
   let sojourn_p99 = Obs.Metrics.service_p99 d in
   let completions = Obs.Histogram.count d.Obs.Metrics.service_ns in
   let busy =
-    o.Tune.Policy.ops >= t.cfg.min_ops || completions >= t.cfg.min_ops
+    d.Obs.Metrics.futures_created >= t.cfg.min_ops
+    || completions >= t.cfg.min_ops
   in
   let under frac signal budget =
     float_of_int signal <= frac *. float_of_int budget
   in
   let hot =
     busy
-    && (o.Tune.Policy.force_p99_ns > t.cfg.p99_budget_ns
+    && (force_p99 > t.cfg.p99_budget_ns
        || pend_p99 > t.cfg.pending_budget_ns
        || sojourn_p99 > t.cfg.sojourn_budget_ns)
   in
   let calm =
     (not busy)
-    || (under t.cfg.recover_fraction o.Tune.Policy.force_p99_ns
-          t.cfg.p99_budget_ns
+    || (under t.cfg.recover_fraction force_p99 t.cfg.p99_budget_ns
        && under t.cfg.recover_fraction pend_p99 t.cfg.pending_budget_ns
        && under t.cfg.recover_fraction sojourn_p99 t.cfg.sojourn_budget_ns)
   in

@@ -1,5 +1,5 @@
 (* Tests for the sharded elimination exchanger: single-thread offer
-   mechanics, adaptive width bounds, cross-domain pairing, and the
+   mechanics, adaptive width, cross-domain pairing, and the
    weak-stack cross-handle exchange built on it. *)
 
 module E = Lockfree.Exchanger
@@ -108,73 +108,6 @@ let test_pairing_conservation () =
     (E.exchanged x);
   Alcotest.(check bool) "width stays in bounds" true
     (E.width x >= 1 && E.width x <= E.capacity x)
-
-(* ---------------------------- width bounds --------------------------- *)
-
-(* The Tune controller's knob: [set_width_bounds] clamps each side to
-   [1..capacity], drags the other side along rather than inverting, and
-   pulls the current width into the new range. *)
-let test_bounds_clamp_and_pull () =
-  let x : int E.t = E.create ~capacity:8 () in
-  Alcotest.(check (pair int int)) "initial bounds" (1, 8) (E.width_bounds x);
-  E.set_width_bounds ~max:2 x;
-  Alcotest.(check (pair int int)) "max lowered" (1, 2) (E.width_bounds x);
-  Alcotest.(check bool) "width pulled under new max" true (E.width x <= 2);
-  E.set_width_bounds ~min:4 x;
-  (* min 4 over max 2: the side being set drags the other. *)
-  Alcotest.(check (pair int int)) "min drags max" (4, 4) (E.width_bounds x);
-  Alcotest.(check int) "width pulled up" 4 (E.width x);
-  E.set_width_bounds ~min:0 ~max:100 x;
-  Alcotest.(check (pair int int)) "both sides clamped to 1..capacity" (1, 8)
-    (E.width_bounds x);
-  Alcotest.check_raises "explicit inverted pair rejected"
-    (Invalid_argument "Exchanger.set_width_bounds: min > max") (fun () ->
-      E.set_width_bounds ~min:5 ~max:3 x)
-
-let test_bounds_drag_down () =
-  let x : int E.t = E.create ~capacity:8 () in
-  E.set_width_bounds ~min:6 x;
-  Alcotest.(check (pair int int)) "min raised" (6, 8) (E.width_bounds x);
-  E.set_width_bounds ~max:3 x;
-  (* max 3 under min 6: dragging works in the other direction too. *)
-  Alcotest.(check (pair int int)) "max drags min" (3, 3) (E.width_bounds x);
-  Alcotest.(check int) "width pinned" 3 (E.width x)
-
-(* Bounds stay coherent under concurrent retuning and live traffic: the
-   packed word can never show a torn pair, and a final settling call
-   pulls the width into whatever range won. *)
-let test_bounds_concurrent () =
-  let x : int E.t = E.create ~capacity:8 () in
-  let iters = 2_000 in
-  let tuner seed () =
-    let rng = Workload.Rng.create ~seed ~stream:0xb0 in
-    for _ = 1 to iters do
-      let lo = 1 + Workload.Rng.below rng 8 in
-      let hi = lo + Workload.Rng.below rng (9 - lo) in
-      E.set_width_bounds ~min:lo ~max:hi x;
-      let l, h = E.width_bounds x in
-      if l > h || l < 1 || h > 8 then
-        Alcotest.failf "torn or inverted bounds observed: (%d, %d)" l h
-    done
-  in
-  let traffic i () =
-    for v = 1 to iters do
-      if i = 0 then ignore (E.give ~patience:(v mod 4) x v : bool)
-      else ignore (E.take ~patience:(v mod 4) x : int option)
-    done
-  in
-  let ds =
-    Domain.spawn (tuner 11) :: Domain.spawn (tuner 23)
-    :: List.init 2 (fun i -> Domain.spawn (traffic i))
-  in
-  List.iter Domain.join ds;
-  (* A widen/narrow racing the last reclamp can leave width one move
-     outside the final range; a settling call pulls it in. *)
-  E.set_width_bounds x;
-  let l, h = E.width_bounds x in
-  Alcotest.(check bool) "final bounds sane" true (1 <= l && l <= h && h <= 8);
-  Alcotest.(check bool) "width inside final bounds" true
-    (E.width x >= l && E.width x <= h)
 
 (* ---------------------------- cancellation --------------------------- *)
 
@@ -348,13 +281,6 @@ let () =
           Alcotest.test_case "parked take fed by try_give" `Quick
             test_parked_take_fed_by_try_give;
           Alcotest.test_case "conservation" `Quick test_pairing_conservation;
-        ] );
-      ( "bounds",
-        [
-          Alcotest.test_case "clamp and pull" `Quick test_bounds_clamp_and_pull;
-          Alcotest.test_case "drag down" `Quick test_bounds_drag_down;
-          Alcotest.test_case "concurrent retuning" `Quick
-            test_bounds_concurrent;
         ] );
       ( "cancellation",
         [
